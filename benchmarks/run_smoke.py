@@ -42,6 +42,17 @@ def _records_identical(data: Dict[str, Any]) -> List[str]:
     return problems
 
 
+def _check_pipeline(data: Dict[str, Any]) -> List[str]:
+    problems = _records_nonempty(data)
+    construction = data.get("construction", [])
+    if not construction:
+        problems.append("construction list is empty")
+    for record in construction:
+        if record.get("identical_to_reference") is False:
+            problems.append(f"construction not bit-identical: {record}")
+    return problems
+
+
 def _check_chaos(data: Dict[str, Any]) -> List[str]:
     problems = []
     for key in ("crash_points", "drop_curves", "e23_byzantine_points"):
@@ -70,7 +81,7 @@ SUITES: List[Tuple[str, str, str, Callable[[Dict[str, Any]], List[str]]]] = [
     ("bench_kernels.py", "BENCH_kernels.json", "E17-kernels",
      _records_identical),
     ("bench_pipeline.py", "BENCH_pipeline.json", "E18-pipeline",
-     _records_nonempty),
+     _check_pipeline),
     ("bench_routing.py", "BENCH_routing.json", "E19-routing",
      _records_nonempty),
     ("bench_query.py", "BENCH_query.json", "E20-query", _records_nonempty),

@@ -9,9 +9,17 @@ yields exact distances to ``N_k(u)`` (Lemma 3.3).
 Executable content:
 
 * the *output* of each round is the filtered power ``filter_k(Ā^h)``
-  (Lemmas 5.4/5.5), computed here with the row-sparse Bellman–Ford of
-  :mod:`repro.semiring.minplus` — exactly the local computation of the node
-  assigned an h-combination, applied globally;
+  (Lemmas 5.4/5.5), computed with
+  :func:`repro.semiring.minplus.hop_merge_row_sparse` — exactly the local
+  computation of the node assigned an h-combination, applied globally.
+  Every hop merges, per row, the row's own k entries with ``w(u, x)``
+  plus the k entries of each filtered neighbour ``x`` (``k + k²``
+  candidates), so a round costs ``O(h·n·k²)``, the output density that
+  [CDKL19] prices, and no ``(n, n)`` matrix is built.  Rounds hand their
+  ``(indices, values)`` rows straight to the next round; only the first
+  filter reads a dense matrix.  :func:`knearest_iterated_reference`,
+  built on the dense Bellman–Ford of ``hop_power_row_sparse``, is the
+  differential-testing target;
 * the *communication structure* — bins, h-combinations, and their counting
   claims (``h * C(p, h) <= n``, bin assignments, the set ``S`` of queried
   nodes) — is implemented in :class:`BinPlan` and validated in tests;
@@ -33,7 +41,8 @@ from ..cclique.accounting import RoundLedger
 from ..cclique.errors import LoadPreconditionError
 from ..semiring.minplus import (
     RowSparse,
-    hop_power_row_sparse,
+    filtered_hop_power,
+    hop_merge_row_sparse,
     k_smallest_in_rows,
     row_sparse_from_dense,
 )
@@ -195,6 +204,14 @@ def knearest_one_round(
     ``A^h`` per row, obtained via the filtered power ``Ā^h`` (Lemma 5.5
     guarantees they coincide; tests verify it).
     """
+    matrix = _checked_input(matrix, k, h, validate)
+    return _knearest_round(row_sparse_from_dense(matrix, k), h, ledger)
+
+
+def _checked_input(
+    matrix: np.ndarray, k: int, h: int, validate: bool
+) -> np.ndarray:
+    """The square float matrix, after the Lemma 5.1 load precondition."""
     matrix = np.asarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
@@ -205,13 +222,21 @@ def knearest_one_round(
             f"{params.KNEAREST_LOAD_CONSTANT} * {n ** (1.0 / h):.2f} "
             f"for h = {h} (Lemma 5.1 precondition)"
         )
+    return matrix
+
+
+def _knearest_round(
+    filtered: RowSparse, h: int, ledger: Optional[RoundLedger]
+) -> KNearestResult:
+    """One Lemma 5.1 execution on the already filtered matrix ``Ā``."""
+    n, k = filtered.indices.shape
     plan = make_bin_plan(n, k, h)
     if ledger is not None:
         _charge_one_iteration(ledger, n, k, h, plan)
-    sparse = row_sparse_from_dense(matrix, k)
-    powered = hop_power_row_sparse(sparse, h)
-    indices, values = k_smallest_in_rows(powered, k)
-    return KNearestResult(indices=indices, values=values, k=k, h=h, iterations=1)
+    rows = hop_merge_row_sparse(filtered, h)
+    return KNearestResult(
+        indices=rows.indices, values=rows.values, k=k, h=h, iterations=1
+    )
 
 
 def knearest_iterated(
@@ -225,17 +250,19 @@ def knearest_iterated(
     """Lemma 5.2: ``h^i``-hop distances to ``N^{h^i}_k(u)`` in O(i) rounds.
 
     Iterates Lemma 5.1: the filtered output of round ``j`` (a matrix with k
-    finite entries per row) is the input of round ``j + 1``.
+    finite entries per row, plus its zero diagonal) is the input of round
+    ``j + 1``.  The rows pass between rounds in row-sparse form.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    matrix = _checked_input(matrix, k, h, validate)
     n = matrix.shape[0]
-    current = np.asarray(matrix, dtype=np.float64)
+    filtered = row_sparse_from_dense(matrix, k)
     result: Optional[KNearestResult] = None
     for _ in range(iterations):
-        result = knearest_one_round(current, k, h, ledger=ledger, validate=validate)
-        current = result.to_row_sparse(n).to_dense()
-        np.fill_diagonal(current, 0.0)
+        if result is not None:
+            filtered = result.to_row_sparse(n).with_zero_diagonal()
+        result = _knearest_round(filtered, h, ledger)
     assert result is not None
     return KNearestResult(
         indices=result.indices,
@@ -243,6 +270,31 @@ def knearest_iterated(
         k=k,
         h=h,
         iterations=iterations,
+    )
+
+
+def knearest_iterated_reference(
+    matrix: np.ndarray, k: int, h: int, iterations: int
+) -> KNearestResult:
+    """Dense reference implementation of :func:`knearest_iterated`.
+
+    Frozen as the differential-testing target for the row-sparse rounds
+    (same role as ``next_hop_table_reference`` for the next-hop table):
+    every round builds the dense filtered power ``Ā^h`` with
+    :func:`filtered_hop_power`, filters it with :func:`k_smallest_in_rows`
+    and re-densifies the rows, with a zero diagonal, as the next input.
+    No ledger, no load check.
+    """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    current = np.asarray(matrix, dtype=np.float64)
+    n = current.shape[0]
+    for _ in range(iterations):
+        indices, values = k_smallest_in_rows(filtered_hop_power(current, h, k), k)
+        current = RowSparse(indices=indices, values=values, n_cols=n).to_dense()
+        np.fill_diagonal(current, 0.0)
+    return KNearestResult(
+        indices=indices, values=values, k=k, h=h, iterations=iterations
     )
 
 

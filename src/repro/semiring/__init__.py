@@ -13,6 +13,7 @@ from .minplus import (
     RowSparse,
     filter_rows,
     filtered_hop_power,
+    hop_merge_row_sparse,
     hop_power_row_sparse,
     k_smallest_in_rows,
     row_sparse_from_dense,
@@ -71,6 +72,7 @@ __all__ = [
     "filter_rows",
     "filtered_hop_power",
     "get_kernel",
+    "hop_merge_row_sparse",
     "hop_power_row_sparse",
     "iter_kernels",
     "k_smallest_in_rows",

@@ -7,8 +7,10 @@ This module provides:
 
 * row filtering with the paper's exact tie-breaking rule,
 * a row-sparse representation (``(n, k)`` index/value arrays) and the
-  hop-bounded power over it — the local computation performed by the node
-  assigned an h-combination in the Section 5 algorithm.
+  filtered hop power over it — the local computation performed by the
+  node assigned an h-combination in the Section 5 algorithm.  The hot
+  path (:func:`hop_merge_row_sparse`) stays row-sparse and output
+  sensitive; :func:`hop_power_row_sparse` is the dense reference.
 
 The dense products themselves (``minplus``, ``minplus_power``, ...) live
 in :mod:`repro.semiring.kernels` — the pluggable kernel registry — and
@@ -17,12 +19,14 @@ are re-exported here for back-compat.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .kernels import (  # noqa: F401  (re-exported for back-compat)
+    DEFAULT_MEMORY_BUDGET,
     INF,
     minplus,
     minplus_gather,
@@ -38,6 +42,11 @@ def k_smallest_in_rows(matrix: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarr
     convention ("breaking ties by node IDs").  Rows with fewer than ``k``
     finite entries are padded with ``(-1, inf)``.
 
+    Each row's k-th value comes from ``np.partition``; the entries at or
+    below it are kept (surplus ties at the k-th value drop from the highest
+    column down) and only those ``k`` are sorted.  The result is the
+    prefix of a stable row ``argsort``, at a fraction of its cost.
+
     Returns
     -------
     (indices, values):
@@ -49,18 +58,36 @@ def k_smallest_in_rows(matrix: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarr
     if k < 1:
         raise ValueError("k must be >= 1")
     k_eff = min(k, n_cols)
-    # argsort is stable for kind="stable": equal values keep ascending
-    # column order, which is exactly the ID tie-break.
-    order = np.argsort(matrix, axis=1, kind="stable")[:, :k_eff]
-    values = np.take_along_axis(matrix, order, axis=1)
-    indices = order.astype(np.int64)
-    indices[~np.isfinite(values)] = -1
-    values = np.where(np.isfinite(values), values, INF)
-    if k_eff < k:
-        pad_idx = np.full((n_rows, k - k_eff), -1, dtype=np.int64)
-        pad_val = np.full((n_rows, k - k_eff), INF)
-        indices = np.concatenate([indices, pad_idx], axis=1)
-        values = np.concatenate([values, pad_val], axis=1)
+    indices = np.full((n_rows, k), -1, dtype=np.int64)
+    values = np.full((n_rows, k), INF)
+    if k_eff == 0 or n_rows == 0:
+        return indices, values
+    kth = np.partition(matrix, k_eff - 1, axis=1)[:, k_eff - 1]
+    kth[np.isnan(kth)] = INF  # NaN sorts last, like inf: both become padding
+    take = matrix <= kth[:, None]
+    take &= matrix != INF  # inf entries end as padding wherever they sort
+    excess = take.sum(axis=1) - k_eff
+    crowded = np.flatnonzero(excess > 0)
+    if crowded.size:
+        tie_row, tie_col = np.nonzero(matrix[crowded] == kth[crowded, None])
+        ties = np.bincount(tie_row, minlength=crowded.size)
+        rank = np.arange(tie_row.size) - (np.cumsum(ties) - ties)[tie_row]
+        drop = rank >= (ties - excess[crowded])[tie_row]
+        take[crowded[tie_row[drop]], tie_col[drop]] = False
+    rows, cols = np.nonzero(take)  # row-major: ascending column per row
+    counts = np.bincount(rows, minlength=n_rows)
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    kept_val = np.full((n_rows, k_eff), INF)
+    kept_idx = np.full((n_rows, k_eff), -1, dtype=np.int64)
+    kept_val[rows, slot] = matrix[rows, cols]
+    kept_idx[rows, slot] = cols
+    # Stable on values whose columns ascend: the (value, ID) order.
+    order = np.argsort(kept_val, axis=1, kind="stable")
+    kept_val = np.take_along_axis(kept_val, order, axis=1)
+    kept_idx = np.take_along_axis(kept_idx, order, axis=1)
+    finite = np.isfinite(kept_val)
+    indices[:, :k_eff] = np.where(finite, kept_idx, -1)
+    values[:, :k_eff] = np.where(finite, kept_val, INF)
     return indices, values
 
 
@@ -117,11 +144,147 @@ class RowSparse:
         np.minimum.at(out, (rows[keep], cols[keep]), vals[keep])
         return out
 
+    def with_zero_diagonal(self) -> "RowSparse":
+        """The k smallest entries per row once ``(u, u)`` is set to 0.
+
+        Row-sparse equivalent of ``to_dense()``, ``fill_diagonal(0)`` and
+        :func:`row_sparse_from_dense`: ``u`` enters its own row even when
+        it was filtered out, and is dropped again only if ``k`` lower IDs
+        also sit at distance 0.
+        """
+        n, k = self.indices.shape
+        if self.n_cols != n:
+            raise ValueError("a zero diagonal needs a square matrix")
+        node = np.arange(n)
+        keep = (self.indices >= 0) & (self.indices != node[:, None])
+        rows, slots = np.nonzero(keep)
+        indices, values = _k_smallest_of_candidates(
+            np.concatenate([rows, node]),
+            np.concatenate([self.indices[rows, slots], node]),
+            np.concatenate([self.values[rows, slots], np.zeros(n)]),
+            n, n, k,
+        )
+        return RowSparse(indices=indices, values=values, n_cols=n)
+
+
+def _k_smallest_of_candidates(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    n_rows: int,
+    n_cols: int,
+    k: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-local k smallest over flat ``(row, col, value)`` candidates.
+
+    A column offered several times keeps its minimum value; then each
+    row keeps its ``k`` smallest ``(value, col)`` pairs, padded with
+    ``(-1, inf)`` as in :func:`k_smallest_in_rows`.  Candidates must be
+    finite.  One integer sort groups the candidates by ``(row, col)``;
+    the selection itself runs row-locally on an ``(n_rows, widest row)``
+    layout whose column order is ID order.
+    """
+    key = rows * n_cols + cols
+    order = np.argsort(key)
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    best = np.minimum.reduceat(values[order], starts) if starts.size else values[:0]
+    key = key[starts]
+    rows = key // n_cols
+    counts = np.bincount(rows, minlength=n_rows)
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    width = max(1, int(counts.max(initial=0)))
+    by_slot = np.full((n_rows, width), INF)
+    col_of_slot = np.full((n_rows, width), -1, dtype=np.int64)
+    by_slot[rows, slot] = best
+    col_of_slot[rows, slot] = key - rows * n_cols
+    slots, kept = k_smallest_in_rows(by_slot, k)
+    picked = np.take_along_axis(col_of_slot, np.maximum(slots, 0), axis=1)
+    return np.where(slots >= 0, picked, -1), kept
+
 
 def row_sparse_from_dense(matrix: np.ndarray, k: int) -> RowSparse:
     """Filter a dense matrix into its k-smallest-per-row sparse form."""
     indices, values = k_smallest_in_rows(matrix, k)
     return RowSparse(indices=indices, values=values, n_cols=matrix.shape[1])
+
+
+def hop_merge_row_sparse(sparse: RowSparse, hops: int) -> RowSparse:
+    """The k smallest entries per row of ``Ā^h``, without densifying.
+
+    ``sparse`` is the filtered matrix ``Ā`` (k entries per row); the
+    result holds, for every row, the k smallest ``(value, ID)`` pairs of
+    the ``h``-hop power of ``Ā`` with a zero diagonal — exactly the rows
+    ``k_smallest_in_rows(hop_power_row_sparse(sparse, h), k)`` returns
+    whenever path sums are exact in float64, as they are for the paper's
+    integer weights (below 2**53).  It starts from ``T_1``, the k
+    smallest of ``Ā`` plus the zero diagonal, and each hop merges
+    ``k + k²`` candidates per row ``u``:
+
+    * ``u``'s own ``T_j[u]``,
+    * ``w(u, x) + T_j[x][·]`` for each of its k filtered neighbours ``x``.
+
+    Lemma 5.5's argument makes this exact: a node among the k nearest
+    within ``j + 1`` hops is reached through the k nearest of a neighbour
+    within ``j`` hops.  Because ``D_{j+1} <= D_j`` pointwise, candidates
+    above the row's current k-th value are pruned before selection, as are
+    those above ``w(u, x)`` plus neighbour ``x``'s k-th value (``x``
+    alone already offers k distinct IDs at or below that sum).  A row
+    whose own entries and whose neighbours' entries did not change in the
+    last hop cannot change in the next, so each hop after the first
+    recomputes only the rows next to a change.  Work is ``O(h·n·k²)``
+    against the reference's ``O(h·n²·k)``; rows are processed in blocks
+    under the :func:`minplus_gather` memory budget.
+    """
+    if hops < 1:
+        raise ValueError("hop bound must be >= 1")
+    n, k = sparse.indices.shape
+    if sparse.n_cols != n:
+        raise ValueError("hop power requires a square matrix")
+    memory_budget = int(
+        os.environ.get("REPRO_MINPLUS_BUDGET", DEFAULT_MEMORY_BUDGET)
+    )
+    # Neighbour slots: the row itself at weight 0 (its own top-k), then
+    # its k filtered edges, padding as an inf-weight self loop.
+    node = np.arange(n)[:, None]
+    nbr = np.hstack([node, np.where(sparse.indices >= 0, sparse.indices, node)])
+    wgt = np.hstack(
+        [np.zeros((n, 1)), np.where(sparse.indices >= 0, sparse.values, INF)]
+    )
+    width = (k + 1) * k
+    # ~48 bytes of temporaries per candidate (sums, mask, flat ids, sort).
+    blk = max(1, min(n, memory_budget // (48 * width)))
+    current = sparse.with_zero_diagonal()
+    active = np.arange(n)
+    for _ in range(hops - 1):
+        idx, val = current.indices, current.values
+        # Prune above the tightest k-th value bound (slot 0 is the row's
+        # own); short rows keep every finite sum.
+        tau = np.min(wgt + val[nbr, k - 1], axis=1)[:, None, None]
+        tau[tau == INF] = np.finfo(np.float64).max
+        new_idx = idx.copy()
+        new_val = val.copy()
+        for start in range(0, active.size, blk):
+            rows = active[start : start + blk]
+            through = nbr[rows]
+            sums = wgt[rows, :, None] + val[through]
+            flat = np.flatnonzero(sums <= tau[rows])
+            via, slot = np.divmod(flat, k)
+            new_idx[rows], new_val[rows] = _k_smallest_of_candidates(
+                flat // width,
+                idx[through.ravel()[via], slot],
+                sums.ravel()[flat],
+                rows.size, n, k,
+            )
+        changed = (new_idx != idx).any(axis=1) | (new_val != val).any(axis=1)
+        if not changed.any():
+            break  # T_{j+1} depends on T_j alone: a fixed point
+        active = np.flatnonzero(changed[nbr].any(axis=1))
+        current = RowSparse(indices=new_idx, values=new_val, n_cols=n)
+    return current
 
 
 def hop_power_row_sparse(
@@ -136,8 +299,11 @@ def hop_power_row_sparse(
     With a zero diagonal, the result after ``h`` rounds is the minimum
     length over paths with at most ``h`` edges of ``Ā``.
 
-    Complexity is ``O(h * n * k * n)`` numpy element-ops; for the paper's
-    parameter regimes (``k ∈ O(n^{1/h})``) this is far below a dense power.
+    This is the dense reference for Lemma 5.5 tests: every hop costs
+    ``O(n * k * n)`` element-ops and the output is a full ``(n, n)``
+    matrix.  The k-nearest rounds use :func:`hop_merge_row_sparse`,
+    which produces the k smallest entries of each row of this matrix in
+    ``O(n * k²)`` per hop.
     """
     if hops < 1:
         raise ValueError("hop bound must be >= 1")

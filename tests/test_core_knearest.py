@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cclique import LoadPreconditionError, RoundLedger
 from repro.core import (
@@ -13,9 +16,18 @@ from repro.core import (
     knearest_iterated,
     knearest_one_round,
     make_bin_plan,
+    params,
 )
-from repro.graphs import erdos_renyi, exact_apsp
-from repro.semiring import k_smallest_in_rows, minplus_power
+from repro.core.knearest import knearest_iterated_reference
+from repro.graphs import clustered_zero_weight_graph, erdos_renyi, exact_apsp
+from repro.graphs.generators import uniform_weights, unit_weights
+from repro.semiring import (
+    RowSparse,
+    hop_merge_row_sparse,
+    k_smallest_in_rows,
+    minplus_power,
+    row_sparse_from_dense,
+)
 
 from tests.helpers import brute_force_k_nearest, make_rng
 
@@ -155,6 +167,176 @@ class TestLemma52:
         graph = erdos_renyi(16, 0.3, rng)
         with pytest.raises(ValueError):
             knearest_iterated(graph.matrix(), 4, 2, 0)
+
+    def test_accepts_nested_lists(self, rng):
+        """Regression: the matrix is converted before its shape is read."""
+        matrix = erdos_renyi(20, 0.2, rng).matrix()
+        from_list = knearest_iterated(matrix.tolist(), 4, 2, 2)
+        from_array = knearest_iterated(matrix, 4, 2, 2)
+        assert np.array_equal(from_list.indices, from_array.indices)
+        assert np.array_equal(from_list.values, from_array.values)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            knearest_iterated(np.zeros((3, 4)), 2, 2, 1)
+
+
+def assert_identical(result, expected):
+    """Bit-identical rows: same IDs, same values, same padding."""
+    assert np.array_equal(result.indices, expected.indices)
+    assert np.array_equal(result.values, expected.values)
+
+
+class TestRowSparseMatchesDenseReference:
+    """The row-sparse rounds against the frozen dense filtered power."""
+
+    SCHEDULES = [(4, 2, 3), (7, 3, 2), (16, 2, 2), (3, 5, 1)]
+
+    def _check(self, matrix, schedules=None):
+        for k, h, i in schedules or self.SCHEDULES:
+            result = knearest_iterated(matrix, k, h, i, validate=False)
+            assert_identical(result, knearest_iterated_reference(matrix, k, h, i))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_erdos_renyi_heavy_ties(self, seed):
+        rng = make_rng(seed)
+        graph = erdos_renyi(120, 0.04, rng, weights=uniform_weights(1, 3))
+        self._check(graph.matrix())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unit_weight_disconnected(self, seed):
+        """Isolated nodes and small components leave padded rows."""
+        rng = make_rng(seed)
+        graph = erdos_renyi(100, 0.012, rng, weights=unit_weights(), connected=False)
+        matrix = graph.matrix()
+        self._check(matrix)
+        short = knearest_iterated(matrix, 16, 2, 2, validate=False)
+        assert (short.indices == -1).any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_weight_clusters_below_cluster_size(self, seed):
+        """k < cluster size: k lower IDs at distance 0 can push ``u`` out
+        of its own row, which the zero diagonal must then restore."""
+        rng = make_rng(seed)
+        graph = clustered_zero_weight_graph(8, 12, rng)
+        matrix = graph.matrix()
+        self._check(matrix, [(4, 2, 3), (6, 3, 2), (11, 2, 2)])
+        rows = knearest_iterated(matrix, 4, 2, 3, validate=False).indices
+        assert not all(u in rows[u] for u in range(graph.n))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_zero_weight_edges_reach_unchanged_rows(self, seed):
+        """With zero-weight edges, a row unchanged by one hop can still
+        change in the next through a neighbour that did change."""
+        rng = make_rng(seed)
+        n = int(rng.integers(10, 24))
+        matrix = np.full((n, n), np.inf)
+        edges = np.triu(rng.random((n, n)) < 0.25, 1)
+        matrix[edges] = rng.integers(0, 3, size=(n, n))[edges]
+        matrix = np.minimum(matrix, matrix.T)
+        np.fill_diagonal(matrix, 0.0)
+        self._check(matrix, [(2, 3, 1), (3, 3, 2), (3, 5, 1), (4, 4, 1)])
+
+    def test_k_at_least_n(self, rng):
+        graph = erdos_renyi(24, 0.15, rng, weights=uniform_weights(1, 4))
+        self._check(graph.matrix(), [(24, 2, 2), (40, 3, 1)])
+
+    def test_theorem11_schedule_at_512(self):
+        n = 512
+        graph = erdos_renyi(n, 4 / n, make_rng(7))
+        k = params.theorem11_k0(n)
+        h, i = params.choose_hop_schedule(n, k)
+        result = knearest_iterated(graph.matrix(), k, h, i)
+        assert_identical(result, knearest_iterated_reference(graph.matrix(), k, h, i))
+
+    def test_one_round_matches_reference(self, rng):
+        matrix = erdos_renyi(60, 0.08, rng, weights=uniform_weights(1, 3)).matrix()
+        assert_identical(
+            knearest_one_round(matrix, 6, 3),
+            knearest_iterated_reference(matrix, 6, 3, 1),
+        )
+
+    def test_row_blocks_do_not_change_the_result(self, rng, monkeypatch):
+        """A tiny memory budget forces one-row blocks."""
+        matrix = erdos_renyi(80, 0.06, rng, weights=uniform_weights(1, 3)).matrix()
+        sparse = row_sparse_from_dense(matrix, 6)
+        whole = hop_merge_row_sparse(sparse, 3)
+        monkeypatch.setenv("REPRO_MINPLUS_BUDGET", "1")
+        blocked = hop_merge_row_sparse(sparse, 3)
+        assert np.array_equal(blocked.indices, whole.indices)
+        assert np.array_equal(blocked.values, whole.values)
+
+    def test_no_dense_matrix_inside_the_loop(self, rng, monkeypatch):
+        """The rounds never densify and never call the dense gather."""
+        minplus_module = importlib.import_module("repro.semiring.minplus")
+        matrix = erdos_renyi(60, 0.08, rng).matrix()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense path used")
+
+        monkeypatch.setattr(RowSparse, "to_dense", forbidden)
+        monkeypatch.setattr(minplus_module, "minplus_gather", forbidden)
+        monkeypatch.setattr(minplus_module, "hop_power_row_sparse", forbidden)
+        knearest_iterated(matrix, 6, 2, 3)
+
+    def test_with_zero_diagonal_matches_dense_round_trip(self, rng):
+        matrix = clustered_zero_weight_graph(4, 10, rng).matrix()
+        sparse = row_sparse_from_dense(matrix, 5)
+        dense = sparse.to_dense()
+        np.fill_diagonal(dense, 0.0)
+        expected = row_sparse_from_dense(dense, 5)
+        got = sparse.with_zero_diagonal()
+        assert np.array_equal(got.indices, expected.indices)
+        assert np.array_equal(got.values, expected.values)
+
+
+def stable_argsort_reference(matrix, k):
+    """The historical ``k_smallest_in_rows``: a full stable row argsort."""
+    n_rows, n_cols = matrix.shape
+    k_eff = min(k, n_cols)
+    order = np.argsort(matrix, axis=1, kind="stable")[:, :k_eff]
+    values = np.take_along_axis(matrix, order, axis=1)
+    finite = np.isfinite(values)
+    indices = np.where(finite, order, -1)
+    values = np.where(finite, values, np.inf)
+    pad = ((0, 0), (0, k - k_eff))
+    return (
+        np.pad(indices, pad, constant_values=-1),
+        np.pad(values, pad, constant_values=np.inf),
+    )
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """Small matrices over {0, 1, 2, 3, inf}: ties at every k-th value."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 40))
+    cells = draw(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf]),
+            min_size=rows * cols,
+            max_size=rows * cols,
+        )
+    )
+    return np.array(cells).reshape(rows, cols)
+
+
+class TestKSmallestInRows:
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=tie_heavy_matrices(), k=st.integers(1, 45))
+    def test_matches_stable_argsort_on_tie_heavy_rows(self, matrix, k):
+        got = k_smallest_in_rows(matrix, k)
+        expected = stable_argsort_reference(matrix, k)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+    def test_all_equal_and_all_inf_rows(self):
+        matrix = np.array([[2.0] * 6, [np.inf] * 6, [0.0, np.inf] * 3])
+        for k in (1, 4, 6, 9):
+            got = k_smallest_in_rows(matrix, k)
+            expected = stable_argsort_reference(matrix, k)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
 
 
 class TestLemma33:
