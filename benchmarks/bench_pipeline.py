@@ -14,7 +14,12 @@ Two claims are regenerated here:
 * **k-nearest speedup** — the row-sparse (k + k²)-candidate hop merge of
   ``knearest_iterated`` against the frozen dense filtered power
   (``knearest_iterated_reference``) on Theorem 1.1's first stage at
-  n = 2048 (Erdős–Rényi, p = 4/n): bit-identical rows, >= 2.2x faster.
+  n = 2048 (Erdős–Rényi, p = 4/n): bit-identical rows, >= 2.2x faster;
+* **canonicalisation** — the single int64-key sorts of ``min_dedup_edges``
+  and ``group_argmin`` plus the array-native Lemma 8.1 ``G_i`` against the
+  frozen three-key lexsorts and the per-edge triple-list construction,
+  on a heavy-tail ``G ∪ H`` at n = 1024 (Theorem 8.1's benchmark input):
+  bit-identical outputs.
 
 Smoke mode: ``REPRO_BENCH_SMOKE=1`` restricts the sweep to the smallest
 size and skips the speedup ratio assertions (CI asserts the JSON schema
@@ -34,10 +39,24 @@ import pytest
 
 from repro.analysis import emit, format_table
 from repro.cclique import RoundLedger
-from repro.core import build_knearest_hopset, knearest_iterated, params, run_variant
+from repro.core import (
+    build_knearest_hopset,
+    build_scaled_graph,
+    knearest_iterated,
+    params,
+    plan_scaling,
+    run_variant,
+)
 from repro.core.hopsets import _local_dijkstra
 from repro.core.knearest import knearest_iterated_reference
-from repro.graphs import WeightedGraph, erdos_renyi, exact_apsp
+from repro.graphs import (
+    WeightedGraph,
+    erdos_renyi,
+    exact_apsp,
+    group_argmin,
+    heavy_tail_weights,
+    min_dedup_edges,
+)
 from repro.semiring.minplus import k_smallest_in_rows
 from repro.spanners import baswana_sengupta_spanner, spanner_edge_bound
 
@@ -48,6 +67,8 @@ SIZES = (96,) if SMOKE else (128, 256, 512)
 SPEEDUP_N = 512
 #: Theorem 1.1's first stage is measured at the repo benchmark's size.
 KNEAREST_N = 2048
+#: The canonicalisation record runs on solve-thm81's graph size.
+CANONICAL_N = 1024
 #: (variant, params) triples profiled per size — the three headline
 #: pipelines of the registry.
 PIPELINES = (
@@ -187,6 +208,37 @@ def reference_hopset(
     )
 
 
+def reference_min_dedup_edges(src, dst, wgt):
+    """The pre-PR three-key lexsort dedup."""
+    order = np.lexsort((wgt, dst, src))
+    src, dst, wgt = src[order], dst[order], wgt[order]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    return src[first], dst[first], wgt[first]
+
+
+def reference_group_argmin(keys, weights, tiebreak):
+    """The pre-PR three-key lexsort group argmin."""
+    order = np.lexsort((tiebreak, weights, keys))
+    sorted_keys = keys[order]
+    first = np.ones(len(sorted_keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return sorted_keys[first], order[first]
+
+
+def reference_scaled_graph(graph, i, plan):
+    """The pre-PR per-edge Lemma 8.1 construction of ``G_i``."""
+    x = float(2**i)
+    edges = [(u, v, min(math.ceil(w / x), plan.cap)) for u, v, w in graph.edges()]
+    return WeightedGraph(
+        graph.n,
+        edges,
+        directed=graph.directed,
+        require_positive=False,
+        require_integer=False,
+    )
+
+
 # --------------------------------------------------------------------- #
 # Measurement
 # --------------------------------------------------------------------- #
@@ -277,6 +329,7 @@ def measure_construction() -> List[Dict]:
         }
     )
     records.append(measure_knearest(SIZES[0] if SMOKE else KNEAREST_N))
+    records.append(measure_canonicalisation(SIZES[0] if SMOKE else CANONICAL_N))
     return records
 
 
@@ -302,6 +355,75 @@ def measure_knearest(n: int) -> Dict:
             np.array_equal(result.indices, reference.indices)
             and np.array_equal(result.values, reference.values)
         ),
+    }
+
+
+def measure_canonicalisation(n: int) -> Dict:
+    """Single-key sorts and array-native Lemma 8.1 vs the frozen lexsorts.
+
+    The input is Theorem 8.1's: a heavy-tail Erdős–Rényi graph (p = 8/n)
+    and its Lemma 3.2 hopset.  ``min_dedup_edges`` gets the union's
+    both-orientation records plus ``G``'s again, shuffled;
+    ``group_argmin`` gets the same records keyed by (vertex, random
+    cluster of the neighbour), Baswana–Sen style; Lemma 8.1 builds every
+    needed ``G_i`` of the union.
+    """
+    rng = rng_for(f"pipeline:canonical:{n}")
+    graph = erdos_renyi(n, 8.0 / n, rng, weights=heavy_tail_weights())
+    delta = exact_apsp(graph) * 2.0
+    np.fill_diagonal(delta, 0.0)
+    hopset = build_knearest_hopset(graph, delta, 2.0)
+    union = hopset.augmented(graph)
+    csr = union.csr()
+    src = np.concatenate([np.repeat(np.arange(n), csr.degrees), graph.edge_u])
+    dst = np.concatenate([csr.indices, graph.edge_v])
+    wgt = np.concatenate([csr.weights, graph.edge_w])
+    shuffle = rng.permutation(len(src))
+    src, dst, wgt = src[shuffle], dst[shuffle], wgt[shuffle]
+    keys = src * n + rng.integers(0, max(1, n // 8), n)[dst]
+    plan = plan_scaling(delta, h=hopset.beta_bound, eps=0.1)
+
+    def scaled_arrays(build):
+        arrays = []
+        for i in plan.needed:
+            scaled = build(union, i, plan)
+            arrays += [scaled.edge_u, scaled.edge_v, scaled.edge_w]
+        return arrays
+
+    pairs = {
+        "min_dedup_edges": (
+            lambda: min_dedup_edges(src, dst, wgt),
+            lambda: reference_min_dedup_edges(src, dst, wgt),
+        ),
+        "group_argmin": (
+            lambda: group_argmin(keys, wgt, dst),
+            lambda: reference_group_argmin(keys, wgt, dst),
+        ),
+        "lemma8.1": (
+            lambda: scaled_arrays(build_scaled_graph),
+            lambda: scaled_arrays(reference_scaled_graph),
+        ),
+    }
+    parts: Dict[str, Dict[str, float]] = {}
+    identical = True
+    for name, (new, reference) in pairs.items():
+        got, want = new(), reference()
+        identical &= len(got) == len(want) and all(
+            np.array_equal(g, w) for g, w in zip(got, want)
+        )
+        parts[name] = {"reference_s": best_of(reference), "vectorized_s": best_of(new)}
+    reference_s = sum(p["reference_s"] for p in parts.values())
+    vectorized_s = sum(p["vectorized_s"] for p in parts.values())
+    return {
+        "phase": "canonicalisation (dedup + group argmin + Lemma 8.1, G ∪ H)",
+        "n": n,
+        "reference_s": reference_s,
+        "vectorized_s": vectorized_s,
+        "speedup": reference_s / vectorized_s,
+        "entries": int(len(src)),
+        "scales": plan.needed,
+        "parts": parts,
+        "identical_to_reference": bool(identical),
     }
 
 
@@ -361,7 +483,7 @@ def test_pipeline_phase_breakdown(pipeline_records, construction_records,
             construction_rows,
             title="E18 — construction layer vs frozen pre-PR references "
             "(claim: spanner >= 3x, hopset >= 2x at n=512; "
-            "k-nearest >= 2.2x at n=2048)",
+            "k-nearest >= 2.2x at n=2048; canonicalisation bit-identical)",
         ),
         sink_path=results_sink,
     )
@@ -396,6 +518,14 @@ def test_hopset_batched_path_identical_to_reference(construction_records):
 def test_knearest_row_sparse_identical_to_reference(construction_records):
     """The row-sparse rounds must reproduce the dense filtered power."""
     record = next(r for r in construction_records if r["phase"].startswith("knearest"))
+    assert record["identical_to_reference"], record
+
+
+def test_canonicalisation_identical_to_reference(construction_records):
+    """The single-key sorts and array-native G_i reproduce the lexsorts."""
+    record = next(
+        r for r in construction_records if r["phase"].startswith("canonicalisation")
+    )
     assert record["identical_to_reference"], record
 
 

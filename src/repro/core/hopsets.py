@@ -198,6 +198,11 @@ def build_knearest_hopset(
     reached = np.isfinite(local_dist)
     local_count = int(reached.sum())
     np.fill_diagonal(reached, False)
+    if not graph.directed:
+        # Fold both orientations onto u < v, keeping the lighter one: the
+        # edges come out canonical, so building the graph needs no sort.
+        local_dist = np.minimum(local_dist, local_dist.T)
+        reached = np.triu(np.isfinite(local_dist), k=1)
     hop_src, hop_dst = np.nonzero(reached)
     hop_w = local_dist[hop_src, hop_dst]
 

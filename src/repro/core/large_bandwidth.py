@@ -35,6 +35,9 @@ from .skeleton import build_skeleton, extend_estimate
 from .small_diameter import apsp_small_diameter, exact_fallback
 from .weight_scaling import assemble_eta, build_scaled_graph, clip_estimate, plan_scaling
 
+#: Ledger phase timing Lemma 8.1's zero-round local work.
+WEIGHT_SCALING_PHASE = "thm8.1/weight-scaling"
+
 #: Signature of the solver run on each scaled graph: (graph, rng, ledger).
 InnerSolver = Callable[[WeightedGraph, np.random.Generator, Optional[RoundLedger]], Estimate]
 
@@ -98,8 +101,11 @@ def apsp_large_bandwidth(
 
     # Step 2(a): weight scaling on G ∪ H with h = beta.  delta0 is an
     # a0-approximation and a0 <= beta, so it is also a beta-approximation
-    # as the lemma requires.
-    plan = plan_scaling(delta0, h=beta, eps=eps)
+    # as the lemma requires.  Lemma 8.1's local work (plan, scaled graphs,
+    # clipping, assembly) is timed as one zero-round phase; the per-scale
+    # solves stay outside it.
+    with _phase(ledger, WEIGHT_SCALING_PHASE):
+        plan = plan_scaling(delta0, h=beta, eps=eps)
 
     # Step 2(b): solve each needed scale (parallel in the model).
     estimates: Dict[int, np.ndarray] = {}
@@ -107,10 +113,12 @@ def apsp_large_bandwidth(
     inner_factor = 1.0
     words = scaled_bandwidth_words(n)
     for i in plan.needed:
-        scaled = build_scaled_graph(augmented, i, plan)
+        with _phase(ledger, WEIGHT_SCALING_PHASE):
+            scaled = build_scaled_graph(augmented, i, plan)
         sub_ledger = RoundLedger(n, bandwidth_words=words) if ledger is not None else None
         result = solver(scaled, rng, sub_ledger)
-        estimates[i] = clip_estimate(result.estimate, plan)
+        with _phase(ledger, WEIGHT_SCALING_PHASE):
+            estimates[i] = clip_estimate(result.estimate, plan)
         inner_factor = max(inner_factor, result.factor)
         if sub_ledger is not None:
             sub_ledgers.append(sub_ledger)
@@ -121,10 +129,11 @@ def apsp_large_bandwidth(
     # Step 2(b) continued: assemble eta (zero rounds).  Pairs disconnected
     # in G stay inf: the scaled graphs' diameter caps make every pair look
     # connected, but eta must never underestimate (d = inf there).
-    eta = assemble_eta(estimates, plan)
-    eta[~np.isfinite(delta0)] = np.inf
-    np.fill_diagonal(eta, 0.0)
-    eta = symmetrize_min(eta)
+    with _phase(ledger, WEIGHT_SCALING_PHASE):
+        eta = assemble_eta(estimates, plan)
+        eta[~np.isfinite(delta0)] = np.inf
+        np.fill_diagonal(eta, 0.0)
+        eta = symmetrize_min(eta)
     a_eta = (1.0 + eps) * inner_factor
 
     # Step 3: skeleton from the approximate sqrt(n)-nearest sets.

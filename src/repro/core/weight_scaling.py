@@ -19,6 +19,12 @@ an edge has length at least the cap.  We therefore materialize ``G_i`` as
 the sparse rounded graph and *clip* distance estimates at the cap:
 ``min(est_sparse, cap)`` equals a valid estimate on the true ``G_i``
 (tests verify the equivalence against an explicit ``K_i``).
+
+The sparse ``G_i`` is one elementwise ``min(ceil(w / x), cap)`` over the
+canonical edge arrays of the input graph.  Rounding up keeps every
+``(u, v)`` record, so the arrays stay canonical and the graph constructor
+takes its no-sort path: building ``G_i`` is O(m) array work, with no
+per-edge Python loop.
 """
 
 from __future__ import annotations
@@ -111,24 +117,20 @@ def build_scaled_graph(
     """
     if i < 0:
         raise ValueError("scale index must be >= 0")
-    x = float(2**i)
-    cap = plan.cap
-    edges = [
-        (u, v, min(math.ceil(w / x), cap))
-        for u, v, w in graph.edges()
-    ]
+    u, v = graph.edge_u, graph.edge_v
+    w = np.minimum(np.ceil(graph.edge_w / float(2**i)), plan.cap)
     if materialize_clique:
-        present = {(min(u, v), max(u, v)) for u, v, _ in edges}
-        for u in range(graph.n):
-            for v in range(u + 1, graph.n):
-                if (u, v) not in present:
-                    edges.append((u, v, cap))
-        # cap also competes with existing heavier edges; the WeightedGraph
-        # dedup keeps minima, so appending is enough.
-        edges.extend((u, v, cap) for (u, v) in present)
-    return WeightedGraph(
+        # Every pair u < v gets a cap edge; the dedup keeps the minimum
+        # against the rounded edges already present.
+        clique_u, clique_v = np.triu_indices(graph.n, k=1)
+        u = np.concatenate([u, clique_u])
+        v = np.concatenate([v, clique_v])
+        w = np.concatenate([w, np.full(len(clique_u), plan.cap)])
+    return WeightedGraph.from_arrays(
         graph.n,
-        edges,
+        u,
+        v,
+        w,
         directed=graph.directed,
         require_positive=False,
         require_integer=False,

@@ -20,10 +20,14 @@ construction layer is written in:
 * :func:`batched_sssp` / :func:`sssp_on_edges` — exact single-source
   distances on edge arrays via one :func:`scipy.sparse.csgraph.dijkstra`
   call (block-diagonal batching for many independent local subgraphs).
+
+Every canonicalisation sort here is one int64 key and one sort, never a
+multi-key ``np.lexsort``; the picks are exactly the lexsort ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -32,6 +36,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 INF = np.inf
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -102,13 +107,19 @@ def build_csr(
     (one record per undirected edge); undirected graphs get both
     orientations materialised here.
     """
+    # Rank the weights so that (src, weight, dst) packs into one int64 key.
+    distinct, rank = np.unique(edge_w, return_inverse=True)
     if directed:
         src, dst, wgt = edge_u, edge_v, edge_w
     else:
         src = np.concatenate([edge_u, edge_v])
         dst = np.concatenate([edge_v, edge_u])
         wgt = np.concatenate([edge_w, edge_w])
-    order = np.lexsort((dst, wgt, src))
+        rank = np.concatenate([rank, rank])
+    key = _packed_key((src, rank, dst), (n, len(distinct), n))
+    # Canonical input has unique (src, dst) pairs, hence unique keys: the
+    # order is fully determined and needs no stable sort.
+    order = np.argsort(key)
     src, dst, wgt = src[order], dst[order], wgt[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
@@ -143,27 +154,97 @@ def k_lightest_per_row(
     return out_idx, out_w
 
 
+def _check_parallel(*arrays: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``arrays`` are 1-D and of equal length."""
+    if any(a.ndim != 1 for a in arrays) or len({len(a) for a in arrays}) > 1:
+        shapes = ", ".join(str(a.shape) for a in arrays)
+        raise ValueError(f"expected 1-D arrays of equal length, got {shapes}")
+
+
+def _packed_key(digits: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
+    """One int64 sort key from mixed-radix digits, most significant first.
+
+    ``digits[i]`` must lie in ``[0, radices[i])``; the key then orders the
+    entries exactly as a lexicographic sort on the digit tuples would.
+    Raises ``OverflowError`` when the key space does not fit in int64,
+    rather than letting the key wrap around.
+    """
+    if math.prod(int(r) for r in radices) - 1 > _INT64_MAX:
+        raise OverflowError(
+            f"sort key space {' x '.join(str(int(r)) for r in radices)} "
+            "does not fit in int64"
+        )
+    key = np.asarray(digits[0], dtype=np.int64)
+    for digit, radix in zip(digits[1:], radices[1:]):
+        key = key * int(radix) + digit
+    return key
+
+
+def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Start positions of the runs of equal values in a sorted array."""
+    boundary = np.ones(len(sorted_values), dtype=bool)
+    boundary[1:] = sorted_values[1:] != sorted_values[:-1]
+    return np.flatnonzero(boundary)
+
+
+def _first_least_per_group(
+    keys: np.ndarray, columns: Sequence[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per distinct key: the first input index whose ``columns`` tuple is least.
+
+    Picks exactly what ``np.lexsort((*reversed(columns), keys))`` plus a
+    first-of-group mask picks (lexsort is stable, so full ties go to the
+    lowest input index, and NaN orders after every number), from one
+    stable sort on ``keys``: each column then only filters every group
+    down to the entries at its group minimum.  Returns
+    ``(unique_keys, indices)``, ``unique_keys`` ascending.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = _run_starts(sorted_keys)
+    group = np.repeat(
+        np.arange(len(starts)), np.diff(starts, append=len(order))
+    )
+    for column in columns:
+        if len(order) == len(starts):
+            break  # every group is down to a single entry
+        values = column[order]
+        least = np.fmin.reduceat(values, _run_starts(group))[group]
+        # An all-NaN group keeps every entry, as lexsort ties them last.
+        keep = (values == least) | np.isnan(least)
+        order, group = order[keep], group[keep]
+    return sorted_keys[starts], order[_run_starts(group)]
+
+
 def min_dedup_edges(
     src: np.ndarray, dst: np.ndarray, wgt: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse duplicate ``(src, dst)`` records, keeping the minimum weight.
 
-    The output is sorted by ``(src, dst)``.  This is the array equivalent
-    of the historical ``Dict[int, Dict[int, float]]`` min-merge, and the
-    required canonicalisation before handing edge arrays to scipy's
-    ``csr_matrix`` (whose COO constructor *sums* duplicates).
+    The output is sorted by ``(src, dst)`` (ids int64, weights float64).
+    This is the array equivalent of the historical
+    ``Dict[int, Dict[int, float]]`` min-merge, and the required
+    canonicalisation before handing edge arrays to scipy's ``csr_matrix``
+    (whose COO constructor *sums* duplicates).
+
+    The pairs are packed into one int64 key ``(src - lo) * span + (dst -
+    lo)`` and sorted once (stable).  Input whose key is already strictly
+    increasing — canonical edge arrays — is returned as is, without a
+    sort, so the outputs may then be the input arrays themselves.
     """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    wgt = np.asarray(wgt, dtype=np.float64)
+    _check_parallel(src, dst, wgt)
     if len(src) == 0:
-        return (
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            np.asarray(wgt, dtype=np.float64),
-        )
-    order = np.lexsort((wgt, dst, src))
-    src, dst, wgt = src[order], dst[order], wgt[order]
-    first = np.ones(len(src), dtype=bool)
-    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    return src[first], dst[first], wgt[first]
+        return src, dst, wgt
+    lo = min(int(src.min()), int(dst.min()))
+    span = max(int(src.max()), int(dst.max())) - lo + 1
+    key = _packed_key((src - lo, dst - lo), (span, span))
+    if np.all(key[1:] > key[:-1]):
+        return src, dst, wgt
+    _, best = _first_least_per_group(key, (wgt,))
+    return src[best], dst[best], wgt[best]
 
 
 def group_argmin(
@@ -176,17 +257,19 @@ def group_argmin(
 
     Returns ``(unique_keys, argmin_indices)`` with ``unique_keys`` sorted
     ascending; ``argmin_indices[i]`` points into the input arrays, so any
-    parallel payload array can be gathered by the caller.  One stable
-    sort + one boundary mask — the reduction behind "lightest edge per
-    (vertex, adjacent cluster), neighbour-ID tie-break".
+    parallel payload array can be gathered by the caller.  Full ties go
+    to the lowest input index.  One stable sort on ``keys``, then a
+    per-group minimum filter on ``weights`` and on ``tiebreak`` — the
+    reduction behind "lightest edge per (vertex, adjacent cluster),
+    neighbour-ID tie-break".
     """
+    keys = np.asarray(keys)
+    weights = np.asarray(weights)
+    tiebreak = np.asarray(tiebreak)
+    _check_parallel(keys, weights, tiebreak)
     if len(keys) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    order = np.lexsort((tiebreak, weights, keys))
-    sorted_keys = keys[order]
-    first = np.ones(len(sorted_keys), dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return sorted_keys[first], order[first]
+    return _first_least_per_group(keys, (weights, tiebreak))
 
 
 def group_min_reduce(
@@ -208,6 +291,7 @@ def group_min_reduce(
             np.zeros(0, dtype=np.float64),
             np.zeros(0, dtype=np.int64),
         )
+    weights, values = np.asarray(weights), np.asarray(values)
     unique_keys, best = group_argmin(keys, weights, values)
     return unique_keys, weights[best], values[best]
 

@@ -81,7 +81,10 @@ class WeightedGraph:
         require_positive: bool,
         require_integer: bool,
     ) -> None:
-        """Canonicalise edge arrays: validate, drop loops, dedup, sort."""
+        """Canonicalise edge arrays: validate, drop loops, dedup, sort.
+
+        The stored ``edge_u/v/w`` are owned by the graph and read-only.
+        """
         self._validate(u, v, w, require_positive, require_integer)
         # Deduplicate parallel edges keeping the minimum weight, and drop
         # self-loops (they never shorten any path with nonnegative weights).
@@ -92,6 +95,10 @@ class WeightedGraph:
             hi = np.maximum(u, v)
             u, v = lo, hi
         u, v, w = min_dedup_edges(u, v, w)
+        # The boolean mask above copied the caller's arrays, and the copies
+        # are frozen: a graph never shares a writable buffer with anyone.
+        for arr in (u, v, w):
+            arr.setflags(write=False)
         self.edge_u = u
         self.edge_v = v
         self.edge_w = w

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cclique import RoundLedger
 from repro.core import build_knearest_hopset
+from repro.core.hopsets import _batched_local_distances
 from repro.graphs import (
     WeightedGraph,
     erdos_renyi,
@@ -17,6 +18,7 @@ from repro.graphs import (
     path_with_shortcuts,
 )
 from repro.semiring import minplus_power
+from repro.semiring.minplus import k_smallest_in_rows
 
 from tests.helpers import brute_force_k_nearest, make_rng
 
@@ -113,6 +115,30 @@ class TestHopsetConstruction:
         for u in range(n):
             ids, dists = brute_force_k_nearest(exact, u, result.k)
             assert np.allclose(beta_hop[u, ids], dists)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_undirected_edges_emitted_canonical(self, seed):
+        """Undirected hopset edges are emitted as u < v with the lighter
+        orientation's weight: the same graph as deduplicating every
+        reached (u, v) record."""
+        rng = make_rng(seed)
+        graph = erdos_renyi(40, 0.15, rng, weights=heavy_tail_weights())
+        delta = synthetic_approximation(exact_apsp(graph), 2.0, rng)
+        result = build_knearest_hopset(graph, delta, 2.0)
+        nearest, _ = k_smallest_in_rows(delta, result.k)
+        local = _batched_local_distances(graph, nearest, result.k)
+        reached = np.isfinite(local)
+        np.fill_diagonal(reached, False)
+        src, dst = np.nonzero(reached)
+        want = WeightedGraph.from_arrays(
+            graph.n, src, dst, local[src, dst],
+            require_positive=False, require_integer=False,
+        )
+        hopset = result.hopset
+        assert np.all(hopset.edge_u < hopset.edge_v)
+        assert np.array_equal(hopset.edge_u, want.edge_u)
+        assert np.array_equal(hopset.edge_v, want.edge_v)
+        assert np.array_equal(hopset.edge_w, want.edge_w)
 
     def test_default_k_is_sqrt_n(self, rng):
         graph = erdos_renyi(49, 0.2, rng)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from repro.api import ApspSolver, SolverConfig
 from repro.cclique import RoundLedger
 from repro.core import (
     apsp_large_bandwidth,
@@ -16,7 +19,14 @@ from repro.core import (
     apsp_tradeoff,
     reduce_approximation,
 )
-from repro.graphs import check_estimate, erdos_renyi, exact_apsp, grid_graph
+from repro.core.large_bandwidth import WEIGHT_SCALING_PHASE
+from repro.graphs import (
+    check_estimate,
+    erdos_renyi,
+    exact_apsp,
+    grid_graph,
+    polynomial_weights,
+)
 
 from tests.helpers import graph_family, make_rng, synthetic_approximation
 
@@ -165,8 +175,6 @@ class TestTheorem81:
         assert report.max_stretch <= result.factor + 1e-9
 
     def test_heavy_weights_use_multiple_scales(self):
-        from repro.graphs import polynomial_weights
-
         rng = make_rng(8)
         graph = erdos_renyi(56, 0.1, rng, weights=polynomial_weights(56, 3.0))
         exact = exact_apsp(graph)
@@ -187,6 +195,23 @@ class TestTheorem81:
         ]
         assert len(parallel_entries) == 1
         assert parallel_entries[0].bandwidth_words >= 1
+
+
+    def test_weight_scaling_phase_is_timed_and_round_free(self):
+        """Lemma 8.1's local work is its own zero-round ledger phase; the
+        solve's rounds and estimate bytes are the frozen ones."""
+        graph = erdos_renyi(56, 0.1, make_rng(9), weights=polynomial_weights(56, 3.0))
+        result = ApspSolver(SolverConfig(variant="large-bandwidth", seed=9)).solve(
+            graph
+        )
+        assert result.meta["scales"] == [0, 1, 2]
+        assert result.total_rounds == 140
+        assert hashlib.sha256(result.estimate.tobytes()).hexdigest() == (
+            "4a027bd2e0c37e3cfee924f9b9fb893d7384f123d73ec1bdd3ed894b6c39f524"
+        )
+        payload = json.loads(result.to_json(include_estimate=False))
+        assert payload["seconds_by_phase"][WEIGHT_SCALING_PHASE] > 0.0
+        assert WEIGHT_SCALING_PHASE not in payload["rounds_by_phase"]
 
 
 class TestTheorem11:

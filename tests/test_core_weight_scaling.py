@@ -9,14 +9,17 @@ import pytest
 
 from repro.core import (
     assemble_eta,
+    build_knearest_hopset,
     build_scaled_graph,
     clip_estimate,
     plan_scaling,
     verify_scaling_guarantees,
 )
 from repro.graphs import (
+    WeightedGraph,
     erdos_renyi,
     exact_apsp,
+    heavy_tail_weights,
     polynomial_weights,
     weighted_diameter_from_matrix,
 )
@@ -30,6 +33,42 @@ SEEDS = [0, 1, 2]
 def heavy_graph(seed: int, n: int = 30):
     rng = make_rng(seed)
     return erdos_renyi(n, 0.15, rng, weights=polynomial_weights(n, 2.5))
+
+
+def reference_scaled_graph(graph, i, plan, materialize_clique=False):
+    """The frozen triple-list construction of ``G_i``."""
+    x = float(2**i)
+    cap = plan.cap
+    edges = [(u, v, min(math.ceil(w / x), cap)) for u, v, w in graph.edges()]
+    if materialize_clique:
+        present = {(min(u, v), max(u, v)) for u, v, _ in edges}
+        for u in range(graph.n):
+            for v in range(u + 1, graph.n):
+                if (u, v) not in present:
+                    edges.append((u, v, cap))
+        edges.extend((u, v, cap) for (u, v) in present)
+    return WeightedGraph(
+        graph.n,
+        edges,
+        directed=graph.directed,
+        require_positive=False,
+        require_integer=False,
+    )
+
+
+def heavy_tail_union(seed: int, n: int = 96):
+    """``G ∪ H`` for a heavy-tail graph and its Lemma 3.2 hopset."""
+    graph = erdos_renyi(n, 8.0 / n, make_rng(seed), weights=heavy_tail_weights())
+    delta = exact_apsp(graph) * 2.0
+    np.fill_diagonal(delta, 0.0)
+    hopset = build_knearest_hopset(graph, delta, 2.0)
+    return hopset.augmented(graph), delta, hopset.beta_bound
+
+
+def assert_same_edges(got, want):
+    assert np.array_equal(got.edge_u, want.edge_u)
+    assert np.array_equal(got.edge_v, want.edge_v)
+    assert np.array_equal(got.edge_w, want.edge_w)
 
 
 class TestScalingPlan:
@@ -103,6 +142,45 @@ class TestScaledGraphs:
         orig = {(u, v): w for u, v, w in graph.edges()}
         for u, v, w in scaled.edges():
             assert w == min(math.ceil(orig[(u, v)] / 4.0), plan.cap)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_triple_list_construction(self, seed):
+        """Array-native G_i equals the frozen per-edge construction for
+        every needed scale of a heavy-tail G ∪ H."""
+        union, delta, beta = heavy_tail_union(seed)
+        # The real hop bound, then small ones: many scales, and caps small
+        # enough that min(ceil(w / x), cap) clips real edges.
+        plans = [
+            plan_scaling(delta, h=h, eps=eps)
+            for h, eps in ((beta, 0.1), (2, 0.5), (1, 2.0))
+        ]
+        assert max(len(plan.needed) for plan in plans) >= 3
+        for plan in plans:
+            for i in plan.needed:
+                scaled = build_scaled_graph(union, i, plan)
+                assert_same_edges(scaled, reference_scaled_graph(union, i, plan))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_materialized_clique_matches_triple_list(self, directed):
+        rng = make_rng(5)
+        src, dst = rng.integers(0, 14, 60), rng.integers(0, 14, 60)
+        graph = WeightedGraph.from_arrays(
+            14, src, dst, rng.integers(1, 3000, 60), directed=directed
+        )
+        plan = plan_scaling(exact_apsp(graph), h=2, eps=0.5)
+        for i in plan.needed:
+            assert_same_edges(
+                build_scaled_graph(graph, i, plan, materialize_clique=True),
+                reference_scaled_graph(graph, i, plan, materialize_clique=True),
+            )
+
+    def test_scaled_graph_owns_its_arrays(self):
+        union, delta, beta = heavy_tail_union(0, n=48)
+        plan = plan_scaling(delta, h=beta, eps=0.5)
+        scaled = build_scaled_graph(union, plan.needed[0], plan)
+        assert not np.shares_memory(scaled.edge_u, union.edge_u)
+        assert not np.shares_memory(scaled.edge_v, union.edge_v)
+        assert not scaled.edge_w.flags.writeable
 
     def test_negative_scale_rejected(self):
         graph = heavy_graph(0, n=8)
