@@ -19,7 +19,11 @@ Two claims are regenerated here:
   and ``group_argmin`` plus the array-native Lemma 8.1 ``G_i`` against the
   frozen three-key lexsorts and the per-edge triple-list construction,
   on a heavy-tail ``G ∪ H`` at n = 1024 (Theorem 8.1's benchmark input):
-  bit-identical outputs.
+  bit-identical outputs;
+* **skeleton** — Lemma 6.2's ``X ⊗ Y`` as a sparse join on ``t`` and
+  Lemma 6.3's extension over scattered known entries, against the frozen
+  dense product, dense ``(n, n)`` known matrix and ``np.where`` extension,
+  on Theorem 1.1's n = 2048 k-nearest tables: bit-identical outputs.
 
 Smoke mode: ``REPRO_BENCH_SMOKE=1`` restricts the sweep to the smallest
 size and skips the speedup ratio assertions (CI asserts the JSON schema
@@ -40,8 +44,11 @@ import pytest
 from repro.analysis import emit, format_table
 from repro.cclique import RoundLedger
 from repro.core import (
+    build_hitting_set,
     build_knearest_hopset,
     build_scaled_graph,
+    build_skeleton,
+    extend_estimate,
     knearest_iterated,
     params,
     plan_scaling,
@@ -57,6 +64,7 @@ from repro.graphs import (
     heavy_tail_weights,
     min_dedup_edges,
 )
+from repro.semiring import INF, sparse_minplus
 from repro.semiring.minplus import k_smallest_in_rows
 from repro.spanners import baswana_sengupta_spanner, spanner_edge_bound
 
@@ -239,6 +247,64 @@ def reference_scaled_graph(graph, i, plan):
     )
 
 
+def reference_skeleton(graph, nbr_indices, nbr_values, k, rng, delta_gs):
+    """The frozen dense skeleton layer: dense X*Y product, dense (n, n) known
+    matrix, ``np.where`` extension.  Returns the skeleton graph's edge
+    arrays and eta."""
+    n = graph.n
+    members = build_hitting_set(nbr_indices, n, k, rng)
+    size = len(members)
+    compact = np.full(n, -1, dtype=np.int64)
+    compact[members] = np.arange(size)
+    in_s = np.zeros(n, dtype=bool)
+    in_s[members] = True
+    member_mask = np.where(nbr_indices >= 0, in_s[nbr_indices], False)
+    first_pos = member_mask.argmax(axis=1)
+    center = compact[nbr_indices[np.arange(n), first_pos]]
+    center_delta = nbr_values[np.arange(n), first_pos]
+
+    x = np.full((size, n), INF)
+    rows = np.repeat(center, k)
+    cols = nbr_indices.ravel()
+    vals = (center_delta[:, None] + nbr_values).ravel()
+    keep = (cols >= 0) & np.isfinite(vals)
+    np.minimum.at(x, (rows[keep], cols[keep]), vals[keep])
+    y = np.full((n, size), INF)
+    eu, ev, ew = graph.edge_u, graph.edge_v, graph.edge_w
+    np.minimum.at(y, (eu, center[ev]), ew + center_delta[ev])
+    np.minimum.at(y, (ev, center[eu]), ew + center_delta[eu])
+    np.minimum.at(y, (np.arange(n), center), center_delta)
+    product = sparse_minplus(
+        x, y, rho_st_bound=max(1.0, size * size / n), clique_n=n
+    ).product
+    weights = np.minimum(product, product.T)
+    np.fill_diagonal(weights, INF)
+    rows, cols = np.nonzero(np.isfinite(weights))
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
+    skeleton_graph = WeightedGraph.from_arrays(
+        size, rows, cols, weights[rows, cols],
+        require_positive=False, require_integer=False,
+    )
+
+    known = np.full((n, n), INF)
+    rows_all = np.repeat(np.arange(n), k)
+    cols_all = nbr_indices.ravel()
+    keep = (cols_all >= 0) & np.isfinite(nbr_values.ravel())
+    np.minimum.at(known, (rows_all[keep], cols_all[keep]), nbr_values.ravel()[keep])
+    known = np.minimum(known, known.T)
+    np.fill_diagonal(known, 0.0)
+
+    through = (
+        center_delta[:, None] + delta_gs[center][:, center] + center_delta[None, :]
+    )
+    eta = np.where(np.isfinite(known), known, through)
+    np.fill_diagonal(eta, 0.0)
+    eta = np.minimum(eta, eta.T)
+    g_s = skeleton_graph
+    return [g_s.edge_u, g_s.edge_v, g_s.edge_w, eta]
+
+
 # --------------------------------------------------------------------- #
 # Measurement
 # --------------------------------------------------------------------- #
@@ -330,6 +396,7 @@ def measure_construction() -> List[Dict]:
     )
     records.append(measure_knearest(SIZES[0] if SMOKE else KNEAREST_N))
     records.append(measure_canonicalisation(SIZES[0] if SMOKE else CANONICAL_N))
+    records.append(measure_skeleton(SIZES[0] if SMOKE else KNEAREST_N))
     return records
 
 
@@ -424,6 +491,45 @@ def measure_canonicalisation(n: int) -> Dict:
         "scales": plan.needed,
         "parts": parts,
         "identical_to_reference": bool(identical),
+    }
+
+
+def measure_skeleton(n: int) -> Dict:
+    """Join-based skeleton layer vs the frozen dense one (Lemmas 6.2-6.3).
+
+    Theorem 1.1's first stage: Erdős–Rényi (p = 4/n) and the k-nearest
+    tables of ``knearest_iterated``.  The inner estimate is exact APSP on
+    ``G_S``, computed once outside the timed region.
+    """
+    graph = erdos_renyi(n, 4.0 / n, rng_for(f"pipeline:skeleton:{n}"))
+    k = params.theorem11_k0(n)
+    h, i = params.choose_hop_schedule(n, k)
+    knn = knearest_iterated(graph.matrix(), k, h, i)
+    args = (graph, knn.indices, knn.values, k)
+    hitting = "pipeline:skeleton:hitting-set"
+    delta_gs = exact_apsp(build_skeleton(*args, rng_for(hitting)).graph)
+
+    def new():
+        skeleton = build_skeleton(*args, rng_for(hitting))
+        eta, _ = extend_estimate(skeleton, delta_gs, 1.0)
+        g_s = skeleton.graph
+        return [g_s.edge_u, g_s.edge_v, g_s.edge_w, eta]
+
+    def reference():
+        return reference_skeleton(*args, rng_for(hitting), delta_gs)
+
+    got, want = new(), reference()
+    new_s, reference_s = best_of(new), best_of(reference)
+    return {
+        "phase": f"skeleton (Lemmas 6.2-6.3 build + extend, k={k})",
+        "n": n,
+        "reference_s": reference_s,
+        "vectorized_s": new_s,
+        "speedup": reference_s / new_s,
+        "skeleton_nodes": len(delta_gs),
+        "identical_to_reference": bool(
+            all(np.array_equal(g, w) for g, w in zip(got, want))
+        ),
     }
 
 
@@ -526,6 +632,13 @@ def test_canonicalisation_identical_to_reference(construction_records):
     record = next(
         r for r in construction_records if r["phase"].startswith("canonicalisation")
     )
+    assert record["identical_to_reference"], record
+
+
+def test_skeleton_identical_to_reference(construction_records):
+    """The sparse X*Y join and scattered known entries reproduce the dense
+    skeleton graph and eta."""
+    record = next(r for r in construction_records if r["phase"].startswith("skeleton"))
     assert record["identical_to_reference"], record
 
 

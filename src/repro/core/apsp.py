@@ -27,7 +27,6 @@ import numpy as np
 
 from ..cclique.accounting import RoundLedger
 from ..graphs.graph import WeightedGraph
-from ..graphs.validation import symmetrize_min
 from . import params
 from .factor_reduction import _phase
 from .knearest import knearest_iterated
@@ -160,7 +159,6 @@ def apsp_theorem11(
     # Step 4: extend back to G.
     with _phase(ledger, "thm1.1/extend"):
         final, factor = extend_estimate(skeleton, inner.estimate, inner.factor, ledger)
-    final = symmetrize_min(final)
     meta = {
         "k0": k0,
         "hop_schedule": (h0, i0),

@@ -23,7 +23,6 @@ import numpy as np
 from ..cclique.accounting import RoundLedger
 from ..graphs.distances import exact_apsp
 from ..graphs.graph import WeightedGraph
-from ..graphs.validation import symmetrize_min
 from ..spanners.logn_approx import approx_apsp_via_spanner
 from . import params
 from .hopsets import build_knearest_hopset
@@ -132,7 +131,6 @@ def reduce_approximation(
             exact_if_small=exact_if_small,
         )
         eta, factor = extend_estimate(skeleton, inner.estimate, inner.factor, ledger)
-    eta = symmetrize_min(eta)
     # Combine with the input estimate (zero rounds, local): both are valid
     # upper bounds on distances, so the pointwise minimum satisfies the
     # smaller of the two factors.  This makes the lemma's 15 sqrt(a)

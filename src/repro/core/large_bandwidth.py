@@ -150,7 +150,6 @@ def apsp_large_bandwidth(
             )
         exact_gs = exact_apsp(skeleton.graph)
         final, factor = extend_estimate(skeleton, exact_gs, 1.0, ledger)
-    final = symmetrize_min(final)
 
     return Estimate(
         estimate=final,

@@ -11,11 +11,21 @@ set, the skeleton construction reduces APSP on ``G`` to APSP on a graph
    given estimate ``delta`` (ties by ID).
 3. **Skeleton edges**: for every triplet ``(u, v, t)`` with ``t ∈ ~N_k(u)``
    and (``{t, v} ∈ E`` or ``t = v``), an edge ``c(u) -- c(v)`` of weight
-   ``delta(c(u), u) + delta(u, t) + w_tv + delta(v, c(v))``, realised with
-   the ``x``/``y`` matrices and one sparse min-plus product.
+   ``delta(c(u), u) + delta(u, t) + w_tv + delta(v, c(v))``, realised as
+   the min-plus product ``X ⊗ Y`` of the ``x``/``y`` operands.  Both are
+   built as entry triples — ``x`` has at most ``k`` entries per node,
+   ``y`` one per edge orientation plus ``t = v`` — and the product runs
+   as a join on ``t`` (:func:`~repro.semiring.sparse.sparse_minplus_join`)
+   unless the exact candidate count, weighed by
+   :data:`JOIN_CANDIDATE_COST`, exceeds the ``|S|^2 n`` dense operations
+   of the dense product (``G ∪ H`` with its hopset edges).  Either way the
+   product is bit-identical and priced at the same densities.
 4. **Extension** (Lemma 6.3): given an l-approximation on ``G_S``,
    ``eta(u, v) = delta(u, c(u)) + delta_GS(c(u), c(v)) + delta(c(v), v)``
-   for pairs outside the known sets, and ``delta(u, v)`` inside.
+   for pairs outside the known sets, and ``delta(u, v)`` inside.  The
+   known estimate is kept as ``O(nk)`` symmetric entry triples and
+   scattered over the through-skeleton matrix, so ``eta`` is the only
+   ``(n, n)`` array the step builds.
 
 The implementation follows the matrix formulation of Section 6.2 exactly,
 with the sparse products charged at the measured densities.
@@ -30,10 +40,25 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..cclique.accounting import RoundLedger
+from ..graphs.adjacency import min_dedup_edges
 from ..graphs.graph import WeightedGraph
 from ..semiring.minplus import INF
-from ..semiring.sparse import sparse_minplus
+from ..semiring.sparse import (
+    Entries,
+    join_candidates,
+    sparse_minplus,
+    sparse_minplus_join,
+)
 from . import params
+
+#: Cost of one join candidate (gather, add, scatter-min) in units of one
+#: dense min-plus operation; the skeleton product joins when
+#: ``JOIN_CANDIDATE_COST * candidates < |S|^2 n``.  Measured on a 2-vCPU
+#: x86 host at about 20 ns per candidate against 2 ns per dense operation:
+#: theorem11's n=2048 skeleton (0.27M candidates, |S|^2 n = 81M) joins in
+#: 0.05 s instead of 0.23 s, while Theorem 8.1's n=1024 ``G ∪ H`` skeleton
+#: (7.6M candidates, 18M dense operations) takes 0.08 s dense, 0.20 s joined.
+JOIN_CANDIDATE_COST = 10.0
 
 
 class SkeletonError(ValueError):
@@ -54,9 +79,11 @@ class Skeleton:
         ``center[u]`` = compact index (into ``nodes``) of ``c(u)``.
     center_delta:
         ``delta(u, c(u))`` per node.
-    known_values / known mask:
-        The symmetric "local" estimate: ``delta(u, v)`` for ``v ∈ ~N_k(u)``
-        (or ``u ∈ ~N_k(v)``), inf elsewhere.
+    known:
+        The symmetric "local" estimate as ``(u, v, delta)`` entry triples,
+        sorted by ``(u, v)``: one entry per ordered off-diagonal pair with
+        ``v ∈ ~N_k(u)`` or ``u ∈ ~N_k(v)``, holding the smaller of the two
+        supplied estimates.  Pairs without an entry are unknown (inf).
     a:
         The approximation factor the input estimate satisfied.
     k:
@@ -67,7 +94,7 @@ class Skeleton:
     graph: WeightedGraph
     center: np.ndarray
     center_delta: np.ndarray
-    known: np.ndarray
+    known: Entries
     a: float
     k: int
     size_bound: float
@@ -111,6 +138,44 @@ def build_hitting_set(
     return np.flatnonzero(best)
 
 
+def _x_entries(
+    nbr_indices: np.ndarray,
+    nbr_values: np.ndarray,
+    center: np.ndarray,
+    center_delta: np.ndarray,
+) -> Entries:
+    """``x`` as min-deduplicated ``(c(u), t, delta(c(u), u) + delta(u, t))``."""
+    k = nbr_indices.shape[1]
+    rows = np.repeat(center, k)
+    cols = nbr_indices.ravel()
+    vals = (center_delta[:, None] + nbr_values).ravel()
+    keep = (cols >= 0) & np.isfinite(vals)
+    return min_dedup_edges(rows[keep], cols[keep], vals[keep])
+
+
+def _y_entries(
+    graph: WeightedGraph, center: np.ndarray, center_delta: np.ndarray
+) -> Entries:
+    """``y`` as raw ``(t, c(v), w_tv + delta(v, c(v)))`` triples.
+
+    One triple per edge orientation plus the ``t = v`` entries; repeated
+    ``(t, c(v))`` positions mean their minimum.
+    """
+    eu, ev, ew = graph.edge_u, graph.edge_v, graph.edge_w
+    return (
+        np.concatenate([eu, ev, np.arange(graph.n)]),
+        np.concatenate([center[ev], center[eu], center]),
+        np.concatenate([ew + center_delta[ev], ew + center_delta[eu], center_delta]),
+    )
+
+
+def _densify(entries: Entries, shape: Tuple[int, int]) -> np.ndarray:
+    rows, cols, vals = entries
+    out = np.full(shape, INF)
+    np.minimum.at(out, (rows, cols), vals)
+    return out
+
+
 def skeleton_xy_matrices(
     graph: WeightedGraph,
     nbr_indices: np.ndarray,
@@ -130,22 +195,8 @@ def skeleton_xy_matrices(
     cross-validated against exactly this computation.
     """
     n = graph.n
-    k = nbr_indices.shape[1]
-    x = np.full((size, n), INF)
-    rows = np.repeat(center, k)
-    cols = nbr_indices.ravel()
-    vals = (center_delta[:, None] + nbr_values).ravel()
-    keep = (cols >= 0) & np.isfinite(vals)
-    np.minimum.at(x, (rows[keep], cols[keep]), vals[keep])
-
-    y = np.full((n, size), INF)
-    eu = graph.edge_u
-    ev = graph.edge_v
-    ew = graph.edge_w
-    if len(eu):
-        np.minimum.at(y, (eu, center[ev]), ew + center_delta[ev])
-        np.minimum.at(y, (ev, center[eu]), ew + center_delta[eu])
-    np.minimum.at(y, (np.arange(n), center), center_delta)
+    x = _densify(_x_entries(nbr_indices, nbr_values, center, center_delta), (size, n))
+    y = _densify(_y_entries(graph, center, center_delta), (n, size))
     return x, y
 
 
@@ -179,8 +230,18 @@ def build_skeleton(
     if graph.directed:
         raise SkeletonError("skeleton graphs require an undirected graph")
     n = graph.n
+    nbr_indices = np.asarray(nbr_indices)
+    nbr_values = np.asarray(nbr_values, dtype=np.float64)
     if nbr_indices.shape != (n, k) or nbr_values.shape != (n, k):
-        raise SkeletonError("neighbour tables must be (n, k)")
+        raise SkeletonError(
+            f"neighbour tables must be (n, k) = {(n, k)}; got "
+            f"{nbr_indices.shape} and {nbr_values.shape}"
+        )
+    if not np.issubdtype(nbr_indices.dtype, np.integer):
+        raise SkeletonError(
+            f"neighbour indices must be integers; got {nbr_indices.dtype}"
+        )
+    nbr_indices = nbr_indices.astype(np.int64, copy=False)
 
     # Step 1: hitting set.
     members = build_hitting_set(nbr_indices, n, k, rng, ledger=ledger)
@@ -200,22 +261,25 @@ def build_skeleton(
     center = compact[center_node]
     center_delta = nbr_values[np.arange(n), first_pos]
 
-    # Step 3: x and y matrices.
-    x, y = skeleton_xy_matrices(
-        graph, nbr_indices, nbr_values, center, center_delta, size
-    )
-
-    # Step 4: skeleton edge weights via one sparse min-plus product,
-    # priced with the analytic density bounds of Lemma 6.2
-    # (rho_X <= k, rho_Y <= |S|, rho_XY <= |S|^2 / n).
-    product = sparse_minplus(
-        x,
-        y,
+    # Step 3: skeleton edge weights X*Y, priced with the analytic
+    # density bounds of Lemma 6.2 (rho_X <= k, rho_Y <= |S|,
+    # rho_XY <= |S|^2 / n).  Joined on t when the exact candidate count
+    # says that is cheaper than the dense product.
+    x = _x_entries(nbr_indices, nbr_values, center, center_delta)
+    y = _y_entries(graph, center, center_delta)
+    pricing = dict(
         ledger=ledger,
         rho_st_bound=max(1.0, size * size / max(1, n)),
         clique_n=n,
         detail="skeleton edge weights X*Y [Lemma 6.2]",
     )
+    candidates = join_candidates(x[1], y[0], n)
+    if JOIN_CANDIDATE_COST * candidates < size * size * n:
+        product = sparse_minplus_join(x, y, (size, n, size), **pricing)
+    else:
+        product = sparse_minplus(
+            _densify(x, (size, n)), _densify(y, (n, size)), **pricing
+        )
     weights = np.minimum(product.product, product.product.T)
     np.fill_diagonal(weights, INF)  # self-loops are not edges
     rows, cols = np.nonzero(np.isfinite(weights))
@@ -230,14 +294,18 @@ def build_skeleton(
         require_integer=False,
     )
 
-    # The symmetric "known" estimate used by the extension step.
-    known = np.full((n, n), INF)
+    # The symmetric "known" estimate used by the extension step: both
+    # orientations of every finite off-diagonal table entry, min-merged.
     rows_all = np.repeat(np.arange(n), k)
     cols_all = nbr_indices.ravel()
-    keep = (cols_all >= 0) & np.isfinite(nbr_values.ravel())
-    np.minimum.at(known, (rows_all[keep], cols_all[keep]), nbr_values.ravel()[keep])
-    known = np.minimum(known, known.T)
-    np.fill_diagonal(known, 0.0)
+    vals_all = nbr_values.ravel()
+    keep = (cols_all >= 0) & (cols_all != rows_all) & np.isfinite(vals_all)
+    rows_all, cols_all, vals_all = rows_all[keep], cols_all[keep], vals_all[keep]
+    known = min_dedup_edges(
+        np.concatenate([rows_all, cols_all]),
+        np.concatenate([cols_all, rows_all]),
+        np.concatenate([vals_all, vals_all]),
+    )
 
     return Skeleton(
         nodes=members,
@@ -281,12 +349,14 @@ def extend_estimate(
         ledger.charge_sparse_matmul(
             1.0, size, n, detail="eta assembly A^T*B [Lemma 6.3]"
         )
-    through = (
-        skeleton.center_delta[:, None]
-        + delta_gs[skeleton.center][:, skeleton.center]
-        + skeleton.center_delta[None, :]
-    )
-    eta = np.where(np.isfinite(skeleton.known), skeleton.known, through)
+    # Through-skeleton estimate, built in place: same adds, same order
+    # as delta(u, c(u)) + delta_GS(c(u), c(v)) + delta(c(v), v).
+    center, center_delta = skeleton.center, skeleton.center_delta
+    eta = delta_gs[center][:, center]
+    eta += center_delta[:, None]
+    eta += center_delta[None, :]
+    known_u, known_v, known_delta = skeleton.known
+    eta[known_u, known_v] = known_delta
     np.fill_diagonal(eta, 0.0)
     eta = np.minimum(eta, eta.T)
     factor = 7.0 * l_factor * skeleton.a**2

@@ -162,7 +162,6 @@ def apsp_small_diameter(
             inner = Estimate(estimate=exact_apsp(skeleton.graph), factor=1.0)
         eta, factor = extend_estimate(skeleton, inner.estimate, inner.factor, ledger)
 
-    eta = symmetrize_min(eta)
     history.append(("final", factor))
     return Estimate(
         estimate=eta,

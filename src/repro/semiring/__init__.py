@@ -19,7 +19,14 @@ from .minplus import (
     row_sparse_from_dense,
     rows_agree_on_k_smallest,
 )
-from .sparse import SparseProductResult, density, embed, sparse_minplus
+from .sparse import (
+    SparseProductResult,
+    density,
+    embed,
+    join_candidates,
+    sparse_minplus,
+    sparse_minplus_join,
+)
 
 # Imported *after* ``.minplus`` on purpose: loading the ``minplus``
 # submodule binds the package attribute ``repro.semiring.minplus`` to the
@@ -75,6 +82,7 @@ __all__ = [
     "hop_merge_row_sparse",
     "hop_power_row_sparse",
     "iter_kernels",
+    "join_candidates",
     "k_smallest_in_rows",
     "kernel_names",
     "minplus",
@@ -96,6 +104,7 @@ __all__ = [
     "sharded_minplus",
     "shutdown_shard_pool",
     "sparse_minplus",
+    "sparse_minplus_join",
     "use_kernel",
     "use_shard_plan",
 ]

@@ -270,3 +270,42 @@ class TestTheorem12Tradeoff:
         graph = erdos_renyi(16, 0.3, rng)
         with pytest.raises(ValueError):
             apsp_tradeoff(graph, 0, rng)
+
+
+class TestExtendedEstimatesSymmetric:
+    """Every pipeline ending in ``extend_estimate`` returns its output as
+    is: that step already takes ``min(eta, eta.T)``, so the result must be
+    exactly symmetric, non-integer weights included."""
+
+    @staticmethod
+    def _fractional_graph(seed):
+        from repro.graphs import WeightedGraph
+
+        rng = make_rng(seed)
+        base = erdos_renyi(64, 0.08, rng)
+        return WeightedGraph.from_arrays(
+            64,
+            base.edge_u,
+            base.edge_v,
+            rng.uniform(0.5, 4.0, base.num_edges),
+            require_integer=False,
+        )
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda g, rng: apsp_theorem11(g, rng),
+            lambda g, rng: apsp_large_bandwidth(g, rng),
+            lambda g, rng: apsp_small_diameter(g, rng),
+            lambda g, rng: apsp_small_diameter(g, rng, mode="cc3"),
+            lambda g, rng: reduce_approximation(
+                g, synthetic_approximation(exact_apsp(g), 16.0, rng), 16.0, rng
+            ),
+        ],
+        ids=["theorem11", "large-bandwidth", "small-diameter", "cc3", "lemma3.1"],
+    )
+    def test_exactly_symmetric(self, solve):
+        graph = self._fractional_graph(11)
+        estimate = solve(graph, make_rng(12)).estimate
+        assert np.array_equal(estimate, estimate.T)
+        assert np.all(np.diag(estimate) == 0.0)

@@ -14,12 +14,14 @@ from repro.semiring import (
     filter_rows,
     filtered_hop_power,
     hop_power_row_sparse,
+    join_candidates,
     k_smallest_in_rows,
     minplus,
     minplus_power,
     row_sparse_from_dense,
     rows_agree_on_k_smallest,
     sparse_minplus,
+    sparse_minplus_join,
 )
 from repro.cclique import RoundLedger
 
@@ -183,6 +185,63 @@ class TestSparsePricing:
         wide = sparse_minplus(a, a, clique_n=64)
         narrow = sparse_minplus(a, a, clique_n=8)
         assert wide.rho_s < narrow.rho_s
+
+    @staticmethod
+    def _random_entries(rng, rows, cols, count):
+        """Entry triples with repeated positions, inf values and fractions."""
+        vals = rng.uniform(0.0, 5.0, count)
+        vals[rng.random(count) < 0.1] = INF
+        return (
+            rng.integers(0, rows, count),
+            rng.integers(0, cols, count),
+            vals,
+        )
+
+    @staticmethod
+    def _densify(entries, shape):
+        out = np.full(shape, INF)
+        np.minimum.at(out, entries[:2], entries[2])
+        return out
+
+    @pytest.mark.parametrize("clique_n", [None, 40])
+    def test_join_matches_dense_product(self, rng, clique_n):
+        a, b, c = 7, 30, 9
+        s = self._random_entries(rng, a, b, 60)
+        t = self._random_entries(rng, b, c, 80)
+        dense = sparse_minplus(
+            self._densify(s, (a, b)), self._densify(t, (b, c)), clique_n=clique_n
+        )
+        joined = sparse_minplus_join(s, t, (a, b, c), clique_n=clique_n)
+        assert np.array_equal(joined.product, dense.product)
+        assert (joined.rho_s, joined.rho_t, joined.rho_st) == (
+            dense.rho_s,
+            dense.rho_t,
+            dense.rho_st,
+        )
+
+    def test_join_blocks_and_ledger(self, rng, monkeypatch):
+        from repro.semiring import sparse
+
+        s = self._random_entries(rng, 5, 20, 50)
+        t = self._random_entries(rng, 20, 6, 70)
+        whole = sparse_minplus_join(s, t, (5, 20, 6), ledger=RoundLedger(20))
+        monkeypatch.setattr(sparse, "JOIN_BLOCK", 3)
+        ledger = RoundLedger(20)
+        blocked = sparse_minplus_join(s, t, (5, 20, 6), ledger=ledger)
+        assert np.array_equal(blocked.product, whole.product)
+        assert ledger.total_rounds == blocked.rounds_charged >= 1
+
+    def test_join_candidates_counts_run_lengths(self):
+        t_rows = np.array([0, 0, 2, 2, 2])
+        assert join_candidates(np.array([0, 1, 2, 2]), t_rows, 3) == 2 + 0 + 3 + 3
+
+    def test_join_empty_factor(self):
+        empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+        t = (np.array([0]), np.array([1]), np.array([1.0]))
+        result = sparse_minplus_join(empty, t, (2, 3, 2))
+        assert result.product.shape == (2, 2)
+        assert np.all(np.isinf(result.product))
+        assert result.rho_s == 0.0
 
     def test_embed(self):
         small = np.array([[1.0, 2.0], [3.0, 4.0]])
