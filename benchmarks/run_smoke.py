@@ -4,9 +4,9 @@
 Runs every benchmark plane in ``REPRO_BENCH_SMOKE=1`` mode, then
 validates the ``BENCH_*.json`` artifact each one emits — existence, the
 expected experiment tag, and the plane's own gate (non-empty records,
-bit-identity flags, bounded construction, chaos curves present).  Any
-pytest failure or artifact regression makes the runner exit non-zero,
-so one CI step covers what used to be six.
+bit-identity flags, chaos curves present).  Any pytest failure or
+artifact regression makes the runner exit non-zero, so one CI step
+covers what used to be six.
 
 Usage (from the repository root)::
 
@@ -61,21 +61,6 @@ def _check_chaos(data: Dict[str, Any]) -> List[str]:
     return problems
 
 
-def _check_shard(data: Dict[str, Any]) -> List[str]:
-    problems = _records_identical(data)
-    construction = [
-        r for r in data.get("records", []) if r.get("arm") == "construction"
-    ]
-    if not construction:
-        problems.append("no construction-arm record")
-    for record in construction:
-        if not record.get("bounded"):
-            problems.append(f"construction working set unbounded: {record}")
-    if "gate_enforced" not in data:
-        problems.append("shard artifact missing gate_enforced")
-    return problems
-
-
 #: (bench module, artifact path, experiment tag, artifact gate).
 SUITES: List[Tuple[str, str, str, Callable[[Dict[str, Any]], List[str]]]] = [
     ("bench_kernels.py", "BENCH_kernels.json", "E17-kernels",
@@ -87,7 +72,6 @@ SUITES: List[Tuple[str, str, str, Callable[[Dict[str, Any]], List[str]]]] = [
     ("bench_query.py", "BENCH_query.json", "E20-query", _records_nonempty),
     ("bench_serve.py", "BENCH_serve.json", "E21-serve", _records_nonempty),
     ("bench_chaos.py", "BENCH_chaos.json", "E22-chaos", _check_chaos),
-    ("bench_shard.py", "BENCH_shard.json", "E24-shard", _check_shard),
 ]
 
 

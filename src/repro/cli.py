@@ -85,16 +85,11 @@ from .serve import (
 from .semiring import (
     AUTO,
     KERNEL_ENV,
-    SHARD_TILE_ENV,
-    SHARD_WORKERS_ENV,
-    ShardPlan,
     auto_kernel,
     iter_kernels,
     kernel_names,
     resolve_kernel,
-    resolve_shard_plan,
     use_kernel,
-    use_shard_plan,
 )
 
 FAMILIES = ("er", "er-dense", "grid", "path", "pa", "heavy", "poly")
@@ -134,50 +129,6 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
         default=AUTO,
         help="min-plus kernel for every tropical product (default: auto)",
     )
-
-
-def _shard_arguments(parser: argparse.ArgumentParser) -> None:
-    """Flags that compile into a :class:`ShardPlan` for the sharded kernel.
-
-    ``dest`` avoids colliding with ``serve-bench --workers`` (thread-pool
-    size); these govern the *process* pool of ``--kernel sharded``.
-    """
-    parser.add_argument(
-        "--workers",
-        dest="shard_workers",
-        type=int,
-        default=None,
-        help="process-pool workers for the sharded kernel "
-        f"(default: {SHARD_WORKERS_ENV} or cpu count; 0 = inline)",
-    )
-    parser.add_argument(
-        "--tile",
-        dest="shard_tile",
-        type=int,
-        default=None,
-        help="square tile edge for the sharded kernel "
-        f"(default: {SHARD_TILE_ENV} or 256)",
-    )
-
-
-def _shard_plan_from_args(args: argparse.Namespace) -> Optional[ShardPlan]:
-    """A ShardPlan when either shard flag was given, else ``None``.
-
-    ``None`` leaves ambient resolution (ContextVar, then ``REPRO_SHARD_*``
-    env) untouched; flags override the env-derived base field-wise.
-    """
-    workers = getattr(args, "shard_workers", None)
-    tile = getattr(args, "shard_tile", None)
-    if workers is None and tile is None:
-        return None
-    base = ShardPlan.from_env()
-    fields = base.to_dict()
-    fields.pop("resolved_workers", None)
-    if workers is not None:
-        fields["workers"] = workers
-    if tile is not None:
-        fields["tile"] = tile
-    return ShardPlan.from_dict(fields)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -520,12 +471,6 @@ def cmd_kernels(args: argparse.Namespace) -> int:
     if effective != auto_kernel(matrix, matrix):
         print(f"pinned for this invocation (--kernel/{KERNEL_ENV}): {effective}")
     print(f"override with --kernel or the {KERNEL_ENV} environment variable")
-    plan = resolve_shard_plan()
-    print(
-        f"sharded plan: tile={plan.tile} workers={plan.resolved_workers()} "
-        f"placement={plan.placement} dtype={plan.dtype} "
-        f"(--workers/--tile or {SHARD_WORKERS_ENV}/{SHARD_TILE_ENV})"
-    )
     return 0
 
 
@@ -638,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="run one APSP variant")
     _common_arguments(run_parser)
-    _shard_arguments(run_parser)
     run_parser.add_argument(
         "--variant",
         choices=variant_names(),
@@ -670,14 +614,12 @@ def build_parser() -> argparse.ArgumentParser:
         "kernels", help="list min-plus kernels and the auto-selection"
     )
     _common_arguments(kernels_parser)
-    _shard_arguments(kernels_parser)
     kernels_parser.set_defaults(handler=cmd_kernels)
 
     profile_parser = subparsers.add_parser(
         "profile", help="per-phase wall-clock/round breakdown of one variant"
     )
     _common_arguments(profile_parser)
-    _shard_arguments(profile_parser)
     profile_parser.add_argument(
         "--variant",
         choices=variant_names(),
@@ -864,11 +806,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     # ``--kernel`` pins every tropical product of the command to one
     # registered kernel; "auto" keeps the per-product selection.
-    # ``--workers``/``--tile`` compile into a ShardPlan governing the
-    # sharded kernel (``None`` keeps ambient/env resolution untouched).
-    with use_kernel(getattr(args, "kernel", None)), use_shard_plan(
-        _shard_plan_from_args(args)
-    ):
+    with use_kernel(getattr(args, "kernel", None)):
         return args.handler(args)
 
 

@@ -98,24 +98,36 @@ def theorem11_k0(n: int) -> int:
     return max(2, min(k, int(math.isqrt(n))))
 
 
-def choose_hop_schedule(n: int, k: int, max_i: int = 6) -> tuple[int, int]:
+class HopScheduleInfeasible(ValueError):
+    """No ``(h, i)`` schedule exists: even ``h = 2`` breaks the load bound."""
+
+
+def choose_hop_schedule(n: int, k: int) -> tuple[int, int]:
     """Pick ``(h, i)`` with ``h^i >= k`` and ``k in O(n^{1/h})``.
 
     Used by Theorem 1.1's first stage: distances to the k-nearest nodes can
     be computed on ``G`` itself (no hopset) because a shortest path to a
     k-nearest node has at most ``k`` hops.  Prefers the smallest feasible
-    ``i`` (round complexity is O(i)).
+    ``i`` (round complexity is O(i)).  The search ends at
+    ``i = (k - 1).bit_length()``, the first ``i`` where ``h = 2`` already
+    satisfies ``2^i >= k``; a larger ``i`` cannot lower ``h`` further.
+    Raises :class:`HopScheduleInfeasible` when even ``h = 2`` violates
+    :func:`knearest_feasible`.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     if k == 1:
         return 2, 1
-    for i in range(1, max_i + 1):
-        h = max(2, int(math.ceil(k ** (1.0 / i))))
+    last = (k - 1).bit_length()
+    for i in range(1, last + 1):
+        # At ``i = last``, ``h = 2`` is exact; a float root could round up.
+        h = 2 if i == last else max(2, int(math.ceil(k ** (1.0 / i))))
         if h**i >= k and knearest_feasible(n, k, h):
             return h, i
-    raise ValueError(
-        f"no feasible (h, i) schedule for n={n}, k={k} within i <= {max_i}"
+    raise HopScheduleInfeasible(
+        f"no feasible (h, i) schedule for n={n}, k={k}: even h=2 needs "
+        f"k <= {KNEAREST_LOAD_CONSTANT * math.sqrt(n):.2f} "
+        f"(load constant {KNEAREST_LOAD_CONSTANT} * sqrt(n))"
     )
 
 

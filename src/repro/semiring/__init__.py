@@ -50,21 +50,6 @@ from .kernels import (
     use_kernel,
 )
 
-# Importing registers the "sharded" kernel in the registry above.
-from .sharded import (
-    SHARD_DTYPE_ENV,
-    SHARD_ENV_VARS,
-    SHARD_PLACEMENT_ENV,
-    SHARD_TILE_ENV,
-    SHARD_WORKERS_ENV,
-    ShardPlan,
-    current_shard_plan,
-    resolve_shard_plan,
-    sharded_minplus,
-    shutdown_shard_pool,
-    use_shard_plan,
-)
-
 __all__ = [
     "AUTO",
     "auto_kernel",
@@ -93,18 +78,7 @@ __all__ = [
     "resolve_kernel",
     "rows_agree_on_k_smallest",
     "row_sparse_from_dense",
-    "SHARD_DTYPE_ENV",
-    "SHARD_ENV_VARS",
-    "SHARD_PLACEMENT_ENV",
-    "SHARD_TILE_ENV",
-    "SHARD_WORKERS_ENV",
-    "ShardPlan",
-    "current_shard_plan",
-    "resolve_shard_plan",
-    "sharded_minplus",
-    "shutdown_shard_pool",
     "sparse_minplus",
     "sparse_minplus_join",
     "use_kernel",
-    "use_shard_plan",
 ]

@@ -52,7 +52,12 @@ from .engine import (
     route_batch,
 )
 from .metrics import LatencyReservoir, ServiceMetrics
-from .oracle import ORACLE_FORMAT, ORACLE_VERSION, DistanceOracle
+from .oracle import (
+    ORACLE_FORMAT,
+    ORACLE_VERSION,
+    ArtifactIntegrityError,
+    DistanceOracle,
+)
 from .service import (
     ENDPOINTS,
     AdmissionError,
@@ -67,6 +72,7 @@ from .store import DEFAULT_STORE, OracleStore, estimate_digest, oracle_key
 
 __all__ = [
     "AdmissionError",
+    "ArtifactIntegrityError",
     "BatcherStats",
     "BatchRoutes",
     "DEFAULT_STORE",

@@ -50,6 +50,34 @@ ORACLE_FORMAT = "repro.distance-oracle"
 ORACLE_VERSION = 1
 
 
+class ArtifactIntegrityError(ValueError):
+    """A loaded oracle payload breaks the forwarding-table invariants."""
+
+
+def _check_forwarding(next_hop: np.ndarray, hop_weight: np.ndarray) -> None:
+    """Reject a table that could route off the node range or in silence.
+
+    Every ``next_hop`` entry must be a node id or the ``-1`` sentinel, and
+    ``hop_weight`` must be finite exactly where a live hop exists.
+    """
+    n = next_hop.shape[0]
+    out_of_range = np.argwhere((next_hop < -1) | (next_hop >= n))
+    if out_of_range.size:
+        u, t = (int(v) for v in out_of_range[0])
+        raise ArtifactIntegrityError(
+            f"next_hop[{u}, {t}] = {int(next_hop[u, t])} is outside [-1, {n}) "
+            f"({len(out_of_range)} bad entries)"
+        )
+    mismatch = np.argwhere((next_hop >= 0) != np.isfinite(hop_weight))
+    if mismatch.size:
+        u, t = (int(v) for v in mismatch[0])
+        raise ArtifactIntegrityError(
+            f"hop_weight[{u}, {t}] = {float(hop_weight[u, t])} disagrees with "
+            f"next_hop[{u}, {t}] = {int(next_hop[u, t])}: weights must be "
+            f"finite exactly on live hops ({len(mismatch)} bad entries)"
+        )
+
+
 def _memmap_backed(array: np.ndarray) -> bool:
     """Whether ``array`` (or any base it views) is an ``np.memmap``."""
     seen: Optional[np.ndarray] = array
@@ -333,6 +361,11 @@ class DistanceOracle:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DistanceOracle":
+        """Decode a :meth:`to_dict` payload.
+
+        Raises :class:`ArtifactIntegrityError` when the forwarding table
+        could route off the node range or along a hop of unknown weight.
+        """
         if data.get("format") != ORACLE_FORMAT:
             raise ValueError(
                 f"not a distance-oracle payload: format={data.get('format')!r}"
@@ -349,12 +382,14 @@ class DistanceOracle:
         estimate = _decode_matrix(data["estimate"], est_dtype)
         next_hop = _decode_matrix(data["next_hop"], np.int64)
         hop_weight = _decode_matrix(data["hop_weight"], np.float64)
-        return cls(
+        oracle = cls(
             estimate=estimate,
             next_hop=next_hop,
             hop_weight=hop_weight,
             meta=dict(data.get("meta") or {}),
         )
+        _check_forwarding(oracle.next_hop, oracle.hop_weight)
+        return oracle
 
     def to_json(self, matrix_encoding: str = "b64", **dumps_kwargs: Any) -> str:
         return json.dumps(self.to_dict(matrix_encoding=matrix_encoding),
@@ -421,4 +456,9 @@ def _decode_matrix(payload: Any, dtype: Any) -> np.ndarray:
     return np.ascontiguousarray(out, dtype=dtype)
 
 
-__all__ = ["DistanceOracle", "ORACLE_FORMAT", "ORACLE_VERSION"]
+__all__ = [
+    "ArtifactIntegrityError",
+    "DistanceOracle",
+    "ORACLE_FORMAT",
+    "ORACLE_VERSION",
+]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import params
 
@@ -100,6 +102,31 @@ class TestTheorem11Schedule:
 
     def test_hop_schedule_k_one(self):
         assert params.choose_hop_schedule(100, 1) == (2, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=2**20))
+    def test_hop_schedule_feasible_up_to_2_20(self, n):
+        k = params.theorem11_k0(n)
+        h, i = params.choose_hop_schedule(n, k)
+        assert h**i >= k
+        assert params.knearest_feasible(n, k, h)
+
+    def test_hop_schedule_table(self):
+        # n <= 4096 pins the schedules that always existed; n >= 4225 used
+        # to exhaust a fixed i <= 6 cap although h = 2 still fits.
+        expected = {64: (3, 2), 256: (4, 2), 1024: (3, 4), 2048: (3, 4),
+                    4096: (2, 6), 4225: (2, 7), 8192: (2, 7)}
+        for n, schedule in expected.items():
+            k = params.theorem11_k0(n)
+            assert params.choose_hop_schedule(n, k) == schedule, n
+
+    def test_hop_schedule_infeasible_is_typed(self):
+        with pytest.raises(params.HopScheduleInfeasible) as caught:
+            params.choose_hop_schedule(16, 100)
+        assert isinstance(caught.value, ValueError)
+        message = str(caught.value)
+        assert "n=16" in message and "k=100" in message
+        assert str(params.KNEAREST_LOAD_CONSTANT) in message
 
 
 class TestMisc:

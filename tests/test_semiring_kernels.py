@@ -9,8 +9,9 @@ must therefore be kernel-independent as well.
 
 Also covered: the selection precedence (argument > ``use_kernel`` context
 > ``REPRO_MINPLUS_KERNEL`` environment > auto), the exactness fix of
-``hop_limited_distances``, the gathered row-sparse product, and the
-content-hash exact-distance oracle cache.
+``hop_limited_distances``, ``out=`` buffer semantics of the dispatcher,
+the ping-pong buffer reuse of ``minplus_power``, the gathered row-sparse
+product, and the content-hash exact-distance oracle cache.
 """
 
 from __future__ import annotations
@@ -74,6 +75,13 @@ class TestRegistry:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown min-plus kernel"):
             minplus(np.zeros((2, 2)), np.zeros((2, 2)), kernel="bogus")
+
+    def test_retired_sharded_kernel_is_unknown(self):
+        retired = "sharded"
+        assert retired not in ALL_KERNELS
+        a = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="unknown min-plus kernel"):
+            minplus(a, a, kernel=retired)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -286,6 +294,51 @@ class TestPowersAndGather:
         for _ in range(2):
             expected = np.minimum(expected, reference(filtered, expected))
         assert np.array_equal(got, expected)
+
+
+class TestOutBuffer:
+    def test_dispatcher_writes_into_out(self):
+        rng = make_rng(31)
+        a = random_matrix(rng, (30, 30), integral=True)
+        for kernel in ALL_KERNELS:
+            out = np.empty((30, 30))
+            result = minplus(a, a, kernel=kernel, out=out)
+            assert result is out, kernel
+            assert np.array_equal(out, reference(a, a)), kernel
+
+    def test_out_validation(self):
+        a = np.zeros((4, 4))
+        with pytest.raises(ValueError, match="shape"):
+            minplus(a, a, out=np.empty((3, 4)))
+        with pytest.raises(ValueError, match="float64"):
+            minplus(a, a, out=np.empty((4, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="share memory"):
+            minplus(a, a, out=a)
+        frozen = np.empty((4, 4))
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="writable"):
+            minplus(a, a, out=frozen)
+
+
+class TestMinplusPowerPingPong:
+    @pytest.mark.parametrize("kernel", ["broadcast", "tiled"])
+    @pytest.mark.parametrize("exponent", [1, 2, 3, 5, 8])
+    def test_matches_iterated_product(self, kernel, exponent):
+        rng = make_rng(41 + exponent)
+        a = random_matrix(rng, (24, 24), integral=True)
+        np.fill_diagonal(a, 0.0)
+        expected = a
+        for _ in range(exponent - 1):
+            expected = reference(expected, a)
+        assert np.array_equal(minplus_power(a, exponent, kernel=kernel), expected)
+
+    def test_input_not_mutated(self):
+        rng = make_rng(43)
+        a = random_matrix(rng, (20, 20), integral=True)
+        np.fill_diagonal(a, 0.0)
+        snapshot = a.copy()
+        minplus_power(a, 5)
+        assert np.array_equal(a, snapshot)
 
 
 class TestExactOracleCache:

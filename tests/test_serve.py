@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.serve import (
     STATUS_DEAD_END,
     STATUS_DELIVERED,
     STATUS_LOOP,
+    ArtifactIntegrityError,
     DistanceOracle,
     OracleStore,
     audit_stretch,
@@ -174,6 +176,54 @@ class TestPersistence:
         payload["version"] = 999
         with pytest.raises(ValueError, match="version"):
             DistanceOracle.from_dict(payload)
+
+
+class TestTamperedArtifacts:
+    """``from_dict`` rejects forwarding tables ``route_batch`` cannot trust."""
+
+    CASES = [
+        ("next_hop", -2),
+        ("next_hop", 16),
+        ("next_hop", 10**6),
+        ("hop_weight", float("nan")),
+        ("hop_weight", float("inf")),
+    ]
+
+    @staticmethod
+    def tampered_payload(encoding, name, value):
+        graph, estimate, _ = build_case(8, n=16, p=0.3)
+        oracle = DistanceOracle.build(graph, estimate)
+        assert oracle.next_hop[0, 5] >= 0  # a live hop to corrupt
+        arrays = {
+            key: np.array(getattr(oracle, key))
+            for key in ("estimate", "next_hop", "hop_weight")
+        }
+        arrays[name][0, 5] = value
+        return DistanceOracle(**arrays).to_dict(matrix_encoding=encoding)
+
+    @pytest.mark.parametrize("encoding", ["b64", "list"])
+    @pytest.mark.parametrize("name, value", CASES)
+    def test_rejected_in_from_dict(self, encoding, name, value):
+        payload = self.tampered_payload(encoding, name, value)
+        with pytest.raises(ArtifactIntegrityError, match=rf"{name}\[0, 5\]"):
+            DistanceOracle.from_dict(payload)
+
+    @pytest.mark.parametrize("encoding", ["b64", "list"])
+    def test_dead_hop_with_finite_weight_rejected(self, encoding):
+        graph, estimate, _ = build_case(8, n=16, p=0.3)
+        oracle = DistanceOracle.build(graph, estimate)
+        next_hop = np.array(oracle.next_hop)
+        next_hop[0, 5] = -1
+        payload = DistanceOracle(
+            oracle.estimate, next_hop, oracle.hop_weight
+        ).to_dict(matrix_encoding=encoding)
+        with pytest.raises(ArtifactIntegrityError, match="live hops"):
+            DistanceOracle.from_dict(payload)
+
+    def test_from_json_rejects_as_value_error(self):
+        payload = self.tampered_payload("b64", "next_hop", -2)
+        with pytest.raises(ValueError, match="outside"):
+            DistanceOracle.from_json(json.dumps(payload))
 
 
 class TestOracleStore:
