@@ -26,7 +26,6 @@ from repro import (
     SolverConfig,
     approximate_apsp,
     erdos_renyi,
-    kernel_names,
 )
 
 
@@ -60,22 +59,6 @@ def main(n: int = 96) -> None:
     summary = results[0].summary()
     print(f"\nJSON summary keys : {sorted(summary)}")
     print(f"serialized size   : {len(results[0].to_json())} bytes")
-
-    # Kernel selection: every tropical matmul routes through the kernel
-    # registry (repro.semiring.kernels).  The default auto-selects by
-    # dtype/size; pinning a kernel changes wall-clock only — outputs are
-    # bit-identical by contract (also reachable via the CLI's --kernel
-    # and the REPRO_MINPLUS_KERNEL environment variable).
-    print(f"\nmin-plus kernels registered: {', '.join(kernel_names())}")
-    pinned = ApspSolver(
-        SolverConfig(variant="exact", seed=0, kernel="tiled")
-    ).solve(graphs[0])
-    auto = ApspSolver(
-        SolverConfig(variant="exact", seed=0)  # kernel=None -> auto
-    ).solve(graphs[0])
-    assert np.array_equal(pinned.estimate, auto.estimate)
-    print(f"exact APSP, kernel pinned to 'tiled': {pinned.wall_time_s:.3f}s; "
-          f"auto-selected kernel: {auto.wall_time_s:.3f}s (same output)")
 
     # For large matrices, request the base64 matrix encoding — a constant
     # ~10.7 characters per float64 entry (vs ~18 for full-precision floats

@@ -84,14 +84,7 @@ from .graphs import (
     path_with_shortcuts,
     preferential_attachment,
 )
-from .semiring import (
-    KernelSpec,
-    iter_kernels,
-    kernel_names,
-    minplus,
-    register_kernel,
-    use_kernel,
-)
+from .semiring import minplus
 from .serve import (
     BatchRoutes,
     DistanceOracle,
@@ -115,7 +108,6 @@ __all__ = [
     "DistanceOracle",
     "Estimate",
     "ExactOracleCache",
-    "KernelSpec",
     "ArrayClique",
     "MessageBatch",
     "MicroBatcher",
@@ -135,10 +127,7 @@ __all__ = [
     "route_batch",
     "cached_exact_apsp",
     "graph_content_hash",
-    "iter_kernels",
-    "kernel_names",
     "minplus",
-    "use_kernel",
     "apsp_large_bandwidth",
     "apsp_small_diameter",
     "apsp_theorem11",
@@ -157,7 +146,6 @@ __all__ = [
     "path_with_shortcuts",
     "preferential_attachment",
     "reduce_approximation",
-    "register_kernel",
     "register_variant",
     "run_variant",
     "spanner_only_baseline",

@@ -26,7 +26,7 @@ import base64
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ from .core.results import Estimate
 from .graphs.distances import cached_exact_apsp
 from .graphs.graph import WeightedGraph
 from .graphs.validation import ApproximationReport, check_estimate
-from .semiring.kernels import AUTO, current_kernel_pin, get_kernel, use_kernel
 
 #: Recognised validation modes for :class:`SolverConfig`.
 VALIDATION_MODES = ("none", "stretch", "strict")
@@ -72,12 +71,6 @@ class SolverConfig:
         cache) and attach a measured-stretch certificate; ``"strict"`` —
         additionally raise if the certificate violates the declared
         factor.
-    kernel:
-        Min-plus kernel name for every tropical product of the solve
-        (see :mod:`repro.semiring.kernels`); ``None``/``"auto"`` defers
-        to env/auto selection.  Applied per worker via
-        :func:`repro.semiring.kernels.use_kernel`, so concurrent batches
-        with different configs do not interfere.
     extra_params:
         Additional variant-specific keyword parameters (e.g.
         ``{"hop_parameter": 8}`` for UY90); unknown keys are dropped by
@@ -90,7 +83,6 @@ class SolverConfig:
     seed: int = 0
     bandwidth_words: int = 1
     validation: str = "none"
-    kernel: Optional[str] = None
     extra_params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -108,8 +100,6 @@ class SolverConfig:
                 f"validation must be one of {VALIDATION_MODES}, "
                 f"got {self.validation!r}"
             )
-        if self.kernel is not None and self.kernel != AUTO:
-            get_kernel(self.kernel)  # raises ValueError on unknown names
 
     @property
     def spec(self) -> VariantSpec:
@@ -135,7 +125,12 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SolverConfig":
-        return cls(**dict(data))
+        """Rebuild a config; ``ValueError`` naming any unknown keys."""
+        data = dict(data)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown SolverConfig keys: {unknown}")
+        return cls(**data)
 
 
 @dataclass
@@ -293,7 +288,7 @@ class ApspSolver:
 
         ``solve(g)`` is exactly ``solve_many([g])[0]``.
         """
-        return _solve_one(self.config, graph, stream, current_kernel_pin())
+        return _solve_one(self.config, graph, stream)
 
     def solve_many(
         self,
@@ -305,22 +300,13 @@ class ApspSolver:
 
         Graph ``i`` always runs on RNG stream ``i``, so the output is
         independent of the executor, worker count, and completion order.
-
-        The ambient min-plus kernel pin (a :func:`repro.semiring.kernels.
-        use_kernel` context or ``REPRO_MINPLUS_KERNEL``) is captured here,
-        in the submitting process, and re-applied inside every worker —
-        thread contexts and spawned processes do not inherit the caller's
-        ContextVar, so without this hand-off a non-default kernel would
-        silently fall back to auto-selection under ``executor="process"``.
-        An explicit ``config.kernel`` still takes precedence.
         """
         graphs = list(graphs)
         if executor not in EXECUTORS:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
-        kernel_pin = current_kernel_pin()
-        tasks = [(self.config, g, i, kernel_pin) for i, g in enumerate(graphs)]
+        tasks = [(self.config, g, i) for i, g in enumerate(graphs)]
         if executor == "serial" or len(graphs) <= 1:
             return [_solve_task(task) for task in tasks]
         pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
@@ -332,28 +318,14 @@ def _solve_one(
     config: SolverConfig,
     graph: WeightedGraph,
     stream: int,
-    kernel_pin: Optional[str] = None,
 ) -> ApspResult:
-    """Run one (config, graph, stream) task — shared by all executors.
-
-    ``kernel_pin`` is the ambient kernel pin captured at submit time; the
-    config's own kernel wins when set.
-    """
+    """Run one (config, graph, stream) task — shared by all executors."""
     rng = config.rng_for(stream)
     ledger = RoundLedger(graph.n, bandwidth_words=config.bandwidth_words)
-    effective_kernel = (
-        config.kernel
-        if config.kernel is not None and config.kernel != AUTO
-        else kernel_pin
-    )
     start = time.perf_counter()
-    with use_kernel(effective_kernel):
-        estimate = run_variant(
-            config.variant, graph, rng=rng, ledger=ledger, **config.params()
-        )
-        # Recorded inside the context and *inside the worker*, so batch
-        # results attest which pin was actually live where they ran.
-        estimate.meta["kernel_pin"] = current_kernel_pin()
+    estimate = run_variant(
+        config.variant, graph, rng=rng, ledger=ledger, **config.params()
+    )
     wall_time = time.perf_counter() - start
     stretch: Optional[ApproximationReport] = None
     if config.validation != "none":
@@ -385,8 +357,8 @@ def _solve_one(
 
 def _solve_task(payload) -> ApspResult:
     """Top-level adapter so process pools can pickle the work item."""
-    config, graph, stream, kernel_pin = payload
-    return _solve_one(config, graph, stream, kernel_pin)
+    config, graph, stream = payload
+    return _solve_one(config, graph, stream)
 
 
 # --------------------------------------------------------------------- #

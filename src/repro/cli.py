@@ -18,10 +18,6 @@ Commands
     Exercise the message-level simulator: broadcast, full-load routing,
     distributed Bellman-Ford.
 
-``kernels``
-    List the registered min-plus kernels and what auto-selection would
-    pick for the given workload size.
-
 ``profile``
     Run one variant and print the per-phase wall-clock / round breakdown
     measured by the ledger's phase contexts — where pipeline time goes.
@@ -41,9 +37,8 @@ Commands
     latency and queries/sec for the single-query vs micro-batched
     paths at each offered-load level.
 
-All commands take ``--n``, ``--family``, ``--seed`` and ``--kernel``
-(min-plus kernel override for every tropical product of the command);
-outputs are plain text tables, suitable for piping into experiment logs.
+All commands take ``--n``, ``--family`` and ``--seed``; outputs are plain
+text tables, suitable for piping into experiment logs.
 """
 
 from __future__ import annotations
@@ -82,15 +77,6 @@ from .serve import (
     run_closed_loop,
     run_open_loop,
 )
-from .semiring import (
-    AUTO,
-    KERNEL_ENV,
-    auto_kernel,
-    iter_kernels,
-    kernel_names,
-    resolve_kernel,
-    use_kernel,
-)
 
 FAMILIES = ("er", "er-dense", "grid", "path", "pa", "heavy", "poly")
 
@@ -123,12 +109,6 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
         "--family", choices=FAMILIES, default="er", help="workload family"
     )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--kernel",
-        choices=(AUTO,) + kernel_names(),
-        default=AUTO,
-        help="min-plus kernel for every tropical product (default: auto)",
-    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -454,26 +434,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_kernels(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    graph = build_workload(args.family, args.n, rng)
-    matrix = graph.matrix()
-    rows = [
-        (spec.name, spec.requires or "-", spec.summary)
-        for spec in iter_kernels()
-    ]
-    print(format_table(["kernel", "requires", "summary"], rows,
-                       title="registered min-plus kernels"))
-    # auto_kernel ignores any --kernel/env pin; resolve_kernel honours it.
-    print(f"\nauto-selection for {args.family} (n={graph.n}): "
-          f"{auto_kernel(matrix, matrix)}")
-    effective = resolve_kernel(matrix, matrix)
-    if effective != auto_kernel(matrix, matrix):
-        print(f"pinned for this invocation (--kernel/{KERNEL_ENV}): {effective}")
-    print(f"override with --kernel or the {KERNEL_ENV} environment variable")
-    return 0
-
-
 def _coerce_param(value: str):
     """``--set`` values: int where possible, then float, else string."""
     for cast in (int, float):
@@ -609,12 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _common_arguments(simulate_parser)
     simulate_parser.set_defaults(handler=cmd_simulate)
-
-    kernels_parser = subparsers.add_parser(
-        "kernels", help="list min-plus kernels and the auto-selection"
-    )
-    _common_arguments(kernels_parser)
-    kernels_parser.set_defaults(handler=cmd_kernels)
 
     profile_parser = subparsers.add_parser(
         "profile", help="per-phase wall-clock/round breakdown of one variant"
@@ -765,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(comma-separate several rule ids; `*` allows every rule). "
             "Pragmas are for audited sites only — e.g. the wall-clock "
             "phase profiler in RoundLedger — and should carry a comment "
-            "justifying the exception.  See DESIGN.md section 14 for the "
+            "justifying the exception.  See DESIGN.md section 13 for the "
             "rule catalogue and how to add a rule."
         ),
     )
@@ -804,10 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # ``--kernel`` pins every tropical product of the command to one
-    # registered kernel; "auto" keeps the per-product selection.
-    with use_kernel(getattr(args, "kernel", None)):
-        return args.handler(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,10 +6,10 @@ by :class:`ExactOracleCache`), and min-plus matrix powers give exact
 ``h``-hop-bounded distances (Section 2.1).
 
 The tropical products themselves (``minplus_product``/``minplus_square``)
-are served by the kernel registry in :mod:`repro.semiring.kernels` and
-re-exported here under their historical names.  ``repro.semiring.kernels``
-is a dependency-free leaf module, so this import does not invert the
-package layering (see DESIGN.md, "Kernel layer").
+are served by :mod:`repro.semiring.kernels` and re-exported here under
+their historical names.  ``repro.semiring.kernels`` is a dependency-free
+leaf module, so this import does not invert the package layering (see
+DESIGN.md, "Kernel layer").
 """
 
 from __future__ import annotations
@@ -69,11 +69,7 @@ def exact_sssp(graph: WeightedGraph, source: int) -> np.ndarray:
     return dijkstra(sparse, directed=graph.directed, indices=source)
 
 
-def hop_limited_distances(
-    matrix: np.ndarray,
-    hops: int,
-    block: Optional[int] = None,
-) -> np.ndarray:
+def hop_limited_distances(matrix: np.ndarray, hops: int) -> np.ndarray:
     """Exact ``h``-hop distances: the min-plus power ``A^h``.
 
     ``matrix`` must have a zero diagonal, which makes powers *monotone*
@@ -93,12 +89,10 @@ def hop_limited_distances(
         ``(n, n)`` min-plus adjacency matrix (zero diagonal required).
     hops:
         Hop bound ``h >= 1``.
-    block:
-        Row-block hint forwarded to the kernel layer (memory control).
     """
     if hops < 1:
         raise ValueError("hop bound must be >= 1")
-    return minplus_power(np.asarray(matrix, dtype=np.float64), hops, block=block)
+    return minplus_power(np.asarray(matrix, dtype=np.float64), hops)
 
 
 def graph_content_hash(graph: WeightedGraph) -> str:

@@ -2,7 +2,7 @@
 
 An AST-based linter (stdlib ``ast`` only) enforcing the invariants the
 repo's correctness rests on: seeded RNG draws (determinism), no
-blocking under locks and ContextVar pin hand-off into executor workers
+blocking under locks and no unlocked shared-state mutation
 (concurrency), strictly JSON-safe snapshots (JSON-safety), ``out=``
 buffer threading on hot paths (allocation hygiene), and complete
 registry/benchmark metadata (contracts).
@@ -13,7 +13,7 @@ catalogue that :func:`lint_tree`, the CLI, and the CI gate enumerate.
 
 Suppress a reviewed exception with ``# lint: allow[rule-id]`` on the
 flagged line or the line above (comma-separate several ids; ``*``
-allows all rules).  See DESIGN.md section 14 for the rule catalogue
+allows all rules).  See DESIGN.md section 13 for the rule catalogue
 and how to add a rule.
 """
 

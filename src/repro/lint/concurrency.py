@@ -1,7 +1,7 @@
-"""Concurrency rules: locks, shared state, and the executor pin hand-off.
+"""Concurrency rules: locks and shared state.
 
-Three hazards this repo has actually hit (PR 6's build stampede is the
-canonical case) are machine-checked here:
+Two hazards this repo has actually hit (the oracle store's build
+stampede is the canonical case) are machine-checked here:
 
 * ``conc-blocking-in-lock`` — blocking while holding a lock (a future's
   ``.result()``, ``Event.wait``, ``time.sleep``, ``join``, file/process
@@ -14,27 +14,18 @@ canonical case) are machine-checked here:
   import time by ``register_*`` decorators are exempt (imports are
   effectively single-threaded); everything else must take a lock or
   move the state into an object that owns one.
-* ``conc-worker-contextvar`` — functions handed to executor
-  ``submit``/``map`` run without the caller's ContextVars (always for
-  processes, per-task for threads).  A worker that reaches an
-  ambient-pin consumer (``minplus``, ``run_variant``, ...) must
-  re-apply the captured pin (``use_kernel``) or pass
-  the kernel explicitly — the ``solve_many`` hand-off pattern
-  (capture at submit, re-apply in ``_solve_one``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from .framework import (
     Finding,
     LintContext,
     call_name,
     dotted_name,
-    get_keyword,
-    module_functions,
     register_rule,
 )
 
@@ -73,17 +64,6 @@ _MUTATING_METHODS = {
     "append", "extend", "insert", "add", "update", "setdefault", "pop",
     "popitem", "remove", "discard", "clear", "appendleft",
 }
-
-#: Ambient-pin consumers: callables whose behaviour depends on the
-#: kernel ContextVar.  A worker that reaches one must re-apply the pin
-#: captured at submit time.
-_AMBIENT_CONSUMERS = {
-    "minplus", "minplus_square", "minplus_power", "hop_limited_distances",
-    "run_variant", "resolve_kernel",
-}
-
-#: Calls that re-establish the ambient pin inside a worker.
-_PIN_APPLIERS = {"use_kernel"}
 
 
 def _with_lock_bodies(ctx: LintContext) -> List[ast.With]:
@@ -228,96 +208,4 @@ def check_global_mutation(ctx: LintContext) -> List[Finding]:
                     and target.value.id in mutable
                 ):
                     flag(node, target.value.id, "del-mutated")
-    return findings
-
-
-def _worker_names(ctx: LintContext) -> Dict[str, ast.Call]:
-    """Function names handed to executor ``submit``/``map`` calls."""
-    workers: Dict[str, ast.Call] = {}
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            continue
-        if func.attr not in ("submit", "map"):
-            continue
-        owner = dotted_name(func.value) or ""
-        if not any(tag in owner.lower() for tag in ("pool", "executor")):
-            continue
-        if node.args and isinstance(node.args[0], ast.Name):
-            workers.setdefault(node.args[0].id, node)
-    return workers
-
-
-def _calls_in(func: ast.AST) -> Set[str]:
-    names: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            name = call_name(node)
-            if name is not None:
-                names.add(name)
-    return names
-
-
-def _explicit_kernel_everywhere(func: ast.AST) -> bool:
-    """True when every ambient-consumer call pins the kernel explicitly."""
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        name = call_name(node)
-        if name is None:
-            continue
-        base = name.rsplit(".", 1)[-1]
-        if base in _AMBIENT_CONSUMERS and base != "resolve_kernel":
-            if get_keyword(node, "kernel") is None:
-                return False
-    return True
-
-
-@register_rule(
-    "conc-worker-contextvar",
-    family="concurrency",
-    summary="executor workers reaching ambient pins must re-apply them",
-)
-def check_worker_contextvar(ctx: LintContext) -> List[Finding]:
-    workers = _worker_names(ctx)
-    if not workers:
-        return []
-    functions = module_functions(ctx.tree)
-    findings: List[Finding] = []
-    for worker, submit_call in workers.items():
-        target = functions.get(worker)
-        if target is None:
-            continue
-        # Transitive closure over same-module callees: _solve_task ->
-        # _solve_one is the shipped pattern and must resolve.
-        seen: Set[str] = set()
-        frontier = [target]
-        reaches_consumer = False
-        applies_pin = False
-        while frontier:
-            current = frontier.pop()
-            calls = _calls_in(current)
-            bases = {name.rsplit(".", 1)[-1] for name in calls}
-            if bases & _PIN_APPLIERS:
-                applies_pin = True
-            hit = bases & _AMBIENT_CONSUMERS
-            if hit and not _explicit_kernel_everywhere(current):
-                reaches_consumer = True
-            for name in calls:
-                if name in functions and name not in seen:
-                    seen.add(name)
-                    frontier.append(functions[name])
-        if reaches_consumer and not applies_pin:
-            finding = ctx.finding(
-                submit_call,
-                "conc-worker-contextvar",
-                f"worker {worker!r} reaches an ambient-pin consumer "
-                "(minplus/run_variant/...) but never re-applies "
-                "use_kernel; capture the pin at submit and re-apply it "
-                "inside the worker (the solve_many hand-off)",
-            )
-            if finding:
-                findings.append(finding)
     return findings

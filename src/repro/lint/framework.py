@@ -2,9 +2,8 @@
 
 The repo's correctness guarantees rest on conventions no general-purpose
 linter knows about: every RNG draw must be seeded (bit-identity of the
-kernel/engine/fault planes), ContextVar pins must be re-applied inside
-executor workers, metrics snapshots must stay strictly JSON-safe, hot
-paths must thread ``out=`` buffers.  This module is the machinery that
+kernel/engine/fault planes), metrics snapshots must stay strictly
+JSON-safe, hot paths must thread ``out=`` buffers.  This module is the machinery that
 turns those conventions into machine-checked rules:
 
 * :class:`Finding` — one structured violation (file, line, rule id,
@@ -295,20 +294,6 @@ def in_loop(ctx: LintContext, node: ast.AST) -> bool:
     return False
 
 
-def module_functions(tree: ast.Module) -> Dict[str, ast.FunctionDef]:
-    """Top-level (and one-level-nested) function defs by name.
-
-    Nested defs are keyed too — the ``register_*`` decorator factories
-    hold their workers one level down, and the concurrency rules need to
-    resolve locally-defined callables wherever they live.
-    """
-    table: Dict[str, ast.FunctionDef] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            table.setdefault(node.name, node)  # type: ignore[arg-type]
-    return table
-
-
 # --------------------------------------------------------------------- #
 # Drivers
 # --------------------------------------------------------------------- #
@@ -442,7 +427,6 @@ __all__ = [
     "lint_file",
     "lint_source",
     "lint_tree",
-    "module_functions",
     "register_rule",
     "rule_names",
 ]

@@ -1,44 +1,27 @@
-"""Pluggable min-plus (tropical) matmul kernels — the repo's hot path.
+"""The exact dense min-plus (tropical) product — the repo's hot path.
 
 Every algorithm in the reproduction bottoms out in a dense min-plus
 product: filtered powers (Section 5), skeleton products (Lemma 6.2 via
 [CDKL21]), hopset limits, the exact baseline.  This module is the single
-home of that product: a registry of interchangeable kernel
-implementations behind one :func:`minplus` entry point, mirroring the
-variant registry of :mod:`repro.core.registry`.
+home of that product: :func:`minplus` and the helpers built on it.
 
-Registered kernels (all bit-identical on the same inputs):
+One product, three exact representations.  :func:`resolve_kernel` makes
+one integrality and magnitude pass over both inputs and picks the
+narrowest dtype in which every sum is exact:
 
-``broadcast``
-    The original reference: row-blocked numpy broadcasting with
-    ``(block, k, m)`` temporaries.  Fastest below ``n ~ 200`` where the
-    temporary fits in cache anyway.
-``tiled``
-    Two-axis (row x column) cache-tiled product.  Temporaries are bounded
-    by a memory budget (``O(block^2 * k)`` elements instead of
-    ``O(block * k * m)``), column tiles are copied contiguous, and the
-    scratch buffer is reused across tiles.  ~2.5-3x the reference at
-    ``n = 512``.
-``int-repack``
-    Detects integer-valued inputs, maps ``inf`` to a safe sentinel, and
-    runs the tiled product in float32 (half the memory bandwidth) or
-    int64, whichever is exact for the value range; falls back to
-    ``tiled`` for non-integer or oversized inputs.  Bit-identical to the
-    float64 reference because every sum stays exactly representable.
-``numba``
-    A JIT-compiled scalar triple loop, registered **only** when numba is
-    importable (never a hard dependency) and compiled lazily on first
-    use.
+``float32``
+    Every finite entry is an integer of magnitude ``<= 2^23``: all sums
+    stay ``<= 2^24``, the float32 exact-integer limit, and ``inf`` needs
+    no sentinel.  Half the memory bandwidth of float64.
+``int64``
+    Integer entries below ``2^51``: ``inf`` maps to a sentinel far above
+    any finite sum, which maps back to ``inf`` afterwards.
+``float64``
+    Anything else — non-integer values, larger magnitudes, ``-inf`` or
+    NaN — runs in the input's own float64 semantics.
 
-Selection precedence in :func:`minplus`:
-
-1. the explicit ``kernel=...`` argument,
-2. the ambient :func:`use_kernel` context (how ``SolverConfig.kernel``
-   reaches the hot path),
-3. the ``REPRO_MINPLUS_KERNEL`` environment variable,
-4. :func:`resolve_kernel` auto-selection: ``numba`` when available for
-   large inputs, else ``int-repack`` for integer-valued matrices, else
-   ``tiled`` for large inputs, else ``broadcast``.
+All three run through one two-axis tiled loop and return the same bits
+as the float64 broadcast formula ``(a[:, :, None] + b[None]).min(axis=1)``.
 
 This module is a *leaf*: it imports nothing from the rest of the package
 (numpy only), so both :mod:`repro.semiring` and :mod:`repro.graphs` may
@@ -47,32 +30,20 @@ depend on it without cycles.
 
 from __future__ import annotations
 
-import importlib.util
 import os
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 INF = np.inf
 
-#: Environment variable overriding kernel auto-selection (lowest-priority
-#: explicit choice; see module docstring for the full precedence).
-KERNEL_ENV = "REPRO_MINPLUS_KERNEL"
-
-#: Name accepted everywhere a kernel name is accepted: defer to auto-selection.
-AUTO = "auto"
-
-#: Default temporary-buffer budget (bytes) for the tiled kernels.  Sized so
+#: Default temporary-buffer budget (bytes) for the tiled product.  Sized so
 #: the scratch tile stays L2/L3-resident; override per call or via
 #: ``REPRO_MINPLUS_BUDGET``.
 DEFAULT_MEMORY_BUDGET = 32 * 2**20
 
-#: Smallest max-dimension at which tiling beats plain broadcasting (below
-#: this the broadcast temporary is cache-resident already).
-TILED_MIN_DIM = 192
+#: Environment variable overriding :data:`DEFAULT_MEMORY_BUDGET` (bytes).
+BUDGET_ENV = "REPRO_MINPLUS_BUDGET"
 
 #: Integer magnitudes up to this bound survive a float32 round-trip exactly
 #: (sums of two entries stay <= 2^24, the float32 exact-integer limit).
@@ -89,155 +60,70 @@ _INT_SENTINEL = np.int64(2**60)
 _INT_INF_THRESHOLD = np.int64(2**59)
 
 
-# --------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------- #
+class MemoryBudgetError(ValueError):
+    """``REPRO_MINPLUS_BUDGET`` is not a positive integer byte count."""
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """One registered min-plus product implementation.
+def memory_budget_from_env() -> int:
+    """The scratch budget in bytes: ``REPRO_MINPLUS_BUDGET`` or the default.
 
-    ``func(a, b, block, memory_budget, out) -> result`` receives
-    validated float64 arrays with agreeing inner dimensions and must
-    return the exact tropical product (bit-identical to the reference
-    kernel).  ``out`` is an optional preallocated float64 destination
-    (never aliasing the operands); a kernel may write into it and return
-    it, or ignore it and return a fresh array — the dispatcher copies
-    into ``out`` when the kernel didn't.
+    Raises :class:`MemoryBudgetError`, naming the variable and its value,
+    when the variable is set to anything but an integer ``>= 1``.
     """
-
-    name: str
-    func: Callable[..., np.ndarray]
-    summary: str
-    requires: str = ""  # soft dependency note ("numba"), purely informational
-
-
-_KERNELS: Dict[str, KernelSpec] = {}
-
-
-def register_kernel(
-    name: str, *, summary: str, requires: str = ""
-) -> Callable[[Callable], Callable]:
-    """Decorator registering one kernel implementation under ``name``."""
-
-    def decorator(func: Callable) -> Callable:
-        if name in _KERNELS or name == AUTO:
-            raise ValueError(f"kernel {name!r} is already registered")
-        _KERNELS[name] = KernelSpec(
-            name=name, func=func, summary=summary, requires=requires
+    raw = os.environ.get(BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_MEMORY_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise MemoryBudgetError(
+            f"{BUDGET_ENV} must be a positive integer byte count; got {raw!r}"
         )
-        return func
-
-    return decorator
-
-
-def get_kernel(name: str) -> KernelSpec:
-    """Look up one registered kernel; ``ValueError`` on unknown names."""
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown min-plus kernel {name!r}; "
-            f"registered: {', '.join(_KERNELS)} (or {AUTO!r})"
-        ) from None
-
-
-def kernel_names() -> Tuple[str, ...]:
-    """All registered kernel names, in registration order."""
-    return tuple(_KERNELS)
-
-
-def iter_kernels() -> Iterator[KernelSpec]:
-    """Iterate the registered specs in registration order."""
-    return iter(tuple(_KERNELS.values()))
+    return budget
 
 
 # --------------------------------------------------------------------- #
-# Ambient kernel choice (context + environment)
+# Representation choice
 # --------------------------------------------------------------------- #
 
-_ambient_kernel: ContextVar[Optional[str]] = ContextVar(
-    "repro_minplus_kernel", default=None
-)
 
-
-@contextmanager
-def use_kernel(name: Optional[str]) -> Iterator[None]:
-    """Context manager fixing the kernel for every :func:`minplus` inside.
-
-    ``None`` and ``"auto"`` leave auto-selection in charge.  The setting
-    is a :class:`~contextvars.ContextVar`, so concurrent solver threads
-    (``ApspSolver.solve_many``) each see only their own choice.
-    """
-    if name is not None and name != AUTO:
-        get_kernel(name)  # fail fast on unknown names
-    token = _ambient_kernel.set(name)
-    try:
-        yield
-    finally:
-        _ambient_kernel.reset(token)
-
-
-def current_kernel_pin() -> Optional[str]:
-    """The explicit ambient kernel pin, if any.
-
-    Resolves the non-input-dependent part of the :func:`resolve_kernel`
-    precedence — the :func:`use_kernel` context, then the
-    ``REPRO_MINPLUS_KERNEL`` environment variable — and returns the pinned
-    kernel's canonical name, or ``None`` when auto-selection is in charge.
-    ``ApspSolver.solve_many`` captures this in the submitting process and
-    re-applies it inside executor workers (thread contexts and spawned
-    processes do not inherit the caller's :class:`~contextvars.ContextVar`).
-    """
-    for choice in (_ambient_kernel.get(), os.environ.get(KERNEL_ENV)):
-        if choice is not None and choice != "" and choice != AUTO:
-            return get_kernel(choice).name
-    return None
-
-
-def _is_integral(matrix: np.ndarray) -> bool:
+def _integral_magnitude(matrix: np.ndarray) -> Optional[float]:
+    """Largest finite magnitude when every finite entry is an integer and
+    every other entry is ``+inf``; ``None`` otherwise."""
     finite = np.isfinite(matrix)
-    return bool(np.all(np.floor(matrix[finite]) == matrix[finite]))
+    values = matrix[finite]
+    if values.size != matrix.size and not np.all(matrix[~finite] == INF):
+        return None  # -inf or NaN
+    if not np.array_equal(np.floor(values), values):
+        return None
+    return float(np.abs(values).max()) if values.size else 0.0
 
 
-def _max_abs_finite(matrix: np.ndarray) -> float:
-    finite = np.isfinite(matrix)
-    if not finite.any():
-        return 0.0
-    return float(np.abs(matrix[finite]).max())
+def resolve_kernel(a: np.ndarray, b: np.ndarray) -> str:
+    """The representation :func:`minplus` computes these inputs in.
 
-
-def auto_kernel(a: np.ndarray, b: np.ndarray) -> str:
-    """The kernel auto-selection picks for these inputs, ignoring any
-    explicit argument/context/environment pin.
-
-    Thresholds were measured on the repo's benchmark harness
-    (benchmarks/bench_kernels.py); see DESIGN.md "Kernel layer".
+    ``"float32"`` when every finite entry of both inputs is an integer of
+    magnitude ``<= 2^23``, ``"int64"`` when they are integers below
+    ``2^51``, and ``"float64"`` otherwise — including whenever an input
+    holds ``-inf`` or NaN, which neither narrow representation can carry.
     """
-    largest = max(a.shape[0], a.shape[1], b.shape[1])
-    if "numba" in _KERNELS and largest >= 128:
-        return "numba"
-    if _is_integral(a) and _is_integral(b):
-        return "int-repack"
-    if largest >= TILED_MIN_DIM:
-        return "tiled"
-    return "broadcast"
-
-
-def resolve_kernel(
-    a: np.ndarray, b: np.ndarray, kernel: Optional[str] = None
-) -> str:
-    """The kernel name :func:`minplus` will run for these inputs.
-
-    Applies the documented precedence (argument > :func:`use_kernel`
-    context > ``REPRO_MINPLUS_KERNEL`` > :func:`auto_kernel` selection).
-    Public so callers and tests can observe selection without timing it.
-    """
-    for choice in (kernel, _ambient_kernel.get(), os.environ.get(KERNEL_ENV)):
-        if choice is not None and choice != "" and choice != AUTO:
-            return get_kernel(choice).name
-    return auto_kernel(a, b)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    largest = 0.0
+    for matrix in (a, b):
+        magnitude = _integral_magnitude(matrix)
+        if magnitude is None:
+            return "float64"
+        largest = max(largest, magnitude)
+    if largest <= _FLOAT32_EXACT_MAX:
+        return "float32"
+    if largest < _INT_EXACT_MAX:
+        return "int64"
+    # Values large enough that float64 addition itself rounds: only the
+    # reference semantics are well-defined, so stay in float64.
+    return "float64"
 
 
 # --------------------------------------------------------------------- #
@@ -248,7 +134,7 @@ def resolve_kernel(
 def _validate_out(
     out: np.ndarray, shape: Tuple[int, int], a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Check a caller-provided destination buffer for the dispatcher."""
+    """Check a caller-provided destination buffer."""
     out = np.asarray(out)
     if out.shape != shape:
         raise ValueError(f"out must have shape {shape}; got {out.shape}")
@@ -264,31 +150,23 @@ def _validate_out(
 def minplus(
     a: np.ndarray,
     b: np.ndarray,
-    block: Optional[int] = None,
     *,
-    kernel: Optional[str] = None,
     memory_budget: Optional[int] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Dense min-plus product ``(A * B)[i, j] = min_k (A[i,k] + B[k,j])``.
 
-    The one dispatcher every dense tropical product in the repo routes
-    through.  All kernels return bit-identical float64 results; see the
-    module docstring for the registry and the selection precedence.
+    The one function every dense tropical product in the repo routes
+    through.  The result is bit-identical to the float64 broadcast
+    formula; the module docstring describes the three representations.
 
     Parameters
     ----------
     a, b:
         Factor matrices (``inf`` = semiring zero).  Any real dtype;
         computation is exact float64 semantics.
-    block:
-        Row-block hint for the ``broadcast`` kernel (legacy knob, default
-        64).  Tiled kernels size their tiles from ``memory_budget``.
-    kernel:
-        Explicit kernel name (highest precedence), ``"auto"``/``None``
-        for ambient/env/auto selection.
     memory_budget:
-        Scratch-buffer budget in bytes for the tiled kernels; defaults to
+        Scratch-buffer budget in bytes for the tiled loop; defaults to
         ``REPRO_MINPLUS_BUDGET`` or :data:`DEFAULT_MEMORY_BUDGET`.
     out:
         Optional preallocated float64 destination of shape
@@ -315,48 +193,37 @@ def minplus(
             return out
         return np.empty((a.shape[0], b.shape[1]), dtype=np.float64)
     if memory_budget is None:
-        memory_budget = int(
-            os.environ.get("REPRO_MINPLUS_BUDGET", DEFAULT_MEMORY_BUDGET)
+        memory_budget = memory_budget_from_env()
+    representation = resolve_kernel(a, b)
+    if representation == "float32":
+        out32 = _tiled_product(
+            a.astype(np.float32), b.astype(np.float32), memory_budget
         )
-    name = resolve_kernel(a, b, kernel)
-    if name == "int-repack" and _was_auto_selected(kernel):
-        # Auto-selection just proved integrality; skip the kernel's own
-        # O(n^2) recheck on this (hot) path.
-        result = _int_repack_product(a, b, memory_budget, integral=True, out=out)
-    else:
-        result = get_kernel(name).func(a, b, block, memory_budget, out)
-    if out is not None and result is not out:
-        np.copyto(out, result)
+        if out is None:
+            return out32.astype(np.float64)
+        np.copyto(out, out32)
         return out
-    return result
-
-
-def _was_auto_selected(kernel: Optional[str]) -> bool:
-    """Whether :func:`resolve_kernel` fell through to auto-selection."""
-    for choice in (kernel, _ambient_kernel.get(), os.environ.get(KERNEL_ENV)):
-        if choice is not None and choice != "" and choice != AUTO:
-            return False
-    return True
+    if representation == "int64":
+        a64 = np.where(np.isfinite(a), a, float(_INT_SENTINEL)).astype(np.int64)
+        b64 = np.where(np.isfinite(b), b, float(_INT_SENTINEL)).astype(np.int64)
+        out64 = _tiled_product(a64, b64, memory_budget)
+        if out is None:
+            out = out64.astype(np.float64)
+        else:
+            np.copyto(out, out64, casting="unsafe")
+        out[out64 >= _INT_INF_THRESHOLD] = INF
+        return out
+    return _tiled_product(a, b, memory_budget, out=out)
 
 
 def minplus_square(
-    matrix: np.ndarray,
-    block: Optional[int] = None,
-    *,
-    kernel: Optional[str] = None,
-    out: Optional[np.ndarray] = None,
+    matrix: np.ndarray, *, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """One min-plus squaring ``A -> A (*) A``."""
-    return minplus(matrix, matrix, block=block, kernel=kernel, out=out)
+    return minplus(matrix, matrix, out=out)
 
 
-def minplus_power(
-    matrix: np.ndarray,
-    exponent: int,
-    block: Optional[int] = None,
-    *,
-    kernel: Optional[str] = None,
-) -> np.ndarray:
+def minplus_power(matrix: np.ndarray, exponent: int) -> np.ndarray:
     """Exact min-plus power ``A^h`` by binary exponentiation.
 
     Requires a zero diagonal so that ``A^h`` equals "minimum length over
@@ -386,14 +253,13 @@ def minplus_power(
             else:
                 if acc_spare is None:
                     acc_spare = np.empty_like(base)
-                minplus(accumulator, base, block=block, kernel=kernel,
-                        out=acc_spare)
+                minplus(accumulator, base, out=acc_spare)
                 accumulator, acc_spare = acc_spare, accumulator
         remaining >>= 1
         if remaining:
             if base_spare is None:
                 base_spare = np.empty_like(base)
-            minplus(base, base, block=block, kernel=kernel, out=base_spare)
+            minplus(base, base, out=base_spare)
             base, base_spare = base_spare, base
     assert accumulator is not None
     return accumulator
@@ -421,9 +287,7 @@ def minplus_gather(
     if k == 0:
         return np.full((n, m), INF)
     if memory_budget is None:
-        memory_budget = int(
-            os.environ.get("REPRO_MINPLUS_BUDGET", DEFAULT_MEMORY_BUDGET)
-        )
+        memory_budget = memory_budget_from_env()
     blk = max(1, min(n, memory_budget // (8 * k * max(1, m))))
     out = np.empty((n, m))
     for start in range(0, n, blk):
@@ -431,31 +295,6 @@ def minplus_gather(
         # gathered[u, j, v] = dense[indices[u, j], v]
         gathered = dense[indices[start:stop], :]
         out[start:stop] = (weights[start:stop, :, None] + gathered).min(axis=1)
-    return out
-
-
-# --------------------------------------------------------------------- #
-# Kernel implementations
-# --------------------------------------------------------------------- #
-
-
-@register_kernel(
-    "broadcast",
-    summary="row-blocked numpy broadcasting (reference; best for small n)",
-)
-def _kernel_broadcast(
-    a: np.ndarray,
-    b: np.ndarray,
-    block: Optional[int],
-    memory_budget: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    block = 64 if block is None else max(1, int(block))
-    if out is None:
-        out = np.empty((a.shape[0], b.shape[1]), dtype=np.float64)
-    for start in range(0, a.shape[0], block):
-        stop = min(start + block, a.shape[0])
-        out[start:stop] = (a[start:stop, :, None] + b[None, :, :]).min(axis=1)
     return out
 
 
@@ -467,11 +306,10 @@ def _tiled_product(
 ) -> np.ndarray:
     """Two-axis tiled product over any dtype with exact add/min semantics.
 
-    Shared by the ``tiled`` kernel (float64) and the ``int-repack`` paths
-    (float32 / int64): column tiles of ``b`` are copied contiguous once
-    per tile, and one scratch buffer of ``bi * k * bj`` elements is
-    reused for the broadcast sums — ``O(block^2 * k)`` memory instead of
-    the reference's ``O(block * k * m)``.
+    Column tiles of ``b`` are copied contiguous once per tile, and one
+    scratch buffer of ``bi * k * bj`` elements is reused for the broadcast
+    sums — ``O(block^2 * k)`` memory instead of the broadcast formula's
+    ``O(n * k * m)``.
     """
     n, k = a.shape
     m = b.shape[1]
@@ -496,144 +334,14 @@ def _tiled_product(
     return out
 
 
-@register_kernel(
-    "tiled",
-    summary="two-axis cache-tiled product, scratch bounded by a memory budget",
-)
-def _kernel_tiled(
-    a: np.ndarray,
-    b: np.ndarray,
-    block: Optional[int],
-    memory_budget: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    return _tiled_product(a, b, memory_budget, out=out)
-
-
-@register_kernel(
-    "int-repack",
-    summary="integer inputs repacked to float32/int64 (inf -> sentinel); "
-    "falls back to tiled otherwise",
-)
-def _kernel_int_repack(
-    a: np.ndarray,
-    b: np.ndarray,
-    block: Optional[int],
-    memory_budget: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    return _int_repack_product(a, b, memory_budget, integral=None, out=out)
-
-
-def _int_repack_product(
-    a: np.ndarray,
-    b: np.ndarray,
-    memory_budget: int,
-    integral: Optional[bool],
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """int-repack body; ``integral=True`` skips the recheck when the
-    dispatcher's auto-selection already classified both inputs."""
-    if integral is None:
-        integral = _is_integral(a) and _is_integral(b)
-    if not integral:
-        return _tiled_product(a, b, memory_budget, out=out)
-    largest = max(_max_abs_finite(a), _max_abs_finite(b))
-    if largest <= _FLOAT32_EXACT_MAX:
-        # float32 halves memory bandwidth; inf needs no sentinel and all
-        # sums stay <= 2^24, the float32 exact-integer limit.
-        out32 = _tiled_product(
-            a.astype(np.float32), b.astype(np.float32), memory_budget
-        )
-        if out is not None:
-            np.copyto(out, out32)
-            return out
-        return out32.astype(np.float64)
-    if largest < _INT_EXACT_MAX:
-        a64 = np.where(np.isfinite(a), a, float(_INT_SENTINEL)).astype(np.int64)
-        b64 = np.where(np.isfinite(b), b, float(_INT_SENTINEL)).astype(np.int64)
-        out64 = _tiled_product(a64, b64, memory_budget)
-        if out is None:
-            out = out64.astype(np.float64)
-        else:
-            np.copyto(out, out64, casting="unsafe")
-        out[out64 >= _INT_INF_THRESHOLD] = INF
-        return out
-    # Values large enough that float64 addition itself rounds: only the
-    # reference semantics are well-defined, so stay in float64.
-    return _tiled_product(a, b, memory_budget, out=out)
-
-
-_numba_impl: Optional[Callable] = None
-
-
-def _get_numba_impl() -> Callable:
-    """Compile the numba kernel on first use (import deferred until then)."""
-    global _numba_impl
-    if _numba_impl is None:
-        import numba  # soft dependency; registration is gated on find_spec
-
-        @numba.njit(parallel=True, cache=True)
-        def _numba_minplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            n, k = a.shape
-            m = b.shape[1]
-            out = np.full((n, m), np.inf)
-            for i in numba.prange(n):
-                for l in range(k):
-                    w = a[i, l]
-                    if w == np.inf:
-                        continue
-                    row = b[l]
-                    for j in range(m):
-                        s = w + row[j]
-                        if s < out[i, j]:
-                            out[i, j] = s
-            return out
-
-        _numba_impl = _numba_minplus
-    return _numba_impl
-
-
-if importlib.util.find_spec("numba") is not None:  # pragma: no cover
-
-    @register_kernel(
-        "numba",
-        summary="JIT-compiled parallel triple loop (registered when numba "
-        "is importable)",
-        requires="numba",
-    )
-    def _kernel_numba(
-        a: np.ndarray,
-        b: np.ndarray,
-        block: Optional[int],
-        memory_budget: int,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        result = _get_numba_impl()(
-            np.ascontiguousarray(a), np.ascontiguousarray(b)
-        )
-        if out is not None:
-            np.copyto(out, result)
-            return out
-        return result
-
-
 __all__ = [
-    "AUTO",
-    "auto_kernel",
     "DEFAULT_MEMORY_BUDGET",
     "INF",
-    "KERNEL_ENV",
-    "KernelSpec",
-    "current_kernel_pin",
-    "get_kernel",
-    "iter_kernels",
-    "kernel_names",
+    "MemoryBudgetError",
+    "memory_budget_from_env",
     "minplus",
     "minplus_gather",
     "minplus_power",
     "minplus_square",
-    "register_kernel",
     "resolve_kernel",
-    "use_kernel",
 ]

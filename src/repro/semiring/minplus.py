@@ -13,21 +13,19 @@ This module provides:
   sensitive; :func:`hop_power_row_sparse` is the dense reference.
 
 The dense products themselves (``minplus``, ``minplus_power``, ...) live
-in :mod:`repro.semiring.kernels` — the pluggable kernel registry — and
-are re-exported here for back-compat.
+in :mod:`repro.semiring.kernels` and are re-exported here for back-compat.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .kernels import (  # noqa: F401  (re-exported for back-compat)
-    DEFAULT_MEMORY_BUDGET,
     INF,
+    memory_budget_from_env,
     minplus,
     minplus_gather,
     minplus_power,
@@ -244,9 +242,7 @@ def hop_merge_row_sparse(sparse: RowSparse, hops: int) -> RowSparse:
     n, k = sparse.indices.shape
     if sparse.n_cols != n:
         raise ValueError("hop power requires a square matrix")
-    memory_budget = int(
-        os.environ.get("REPRO_MINPLUS_BUDGET", DEFAULT_MEMORY_BUDGET)
-    )
+    memory_budget = memory_budget_from_env()
     # Neighbour slots: the row itself at weight 0 (its own top-k), then
     # its k filtered edges, padding as an inf-weight self loop.
     node = np.arange(n)[:, None]

@@ -8,8 +8,8 @@ the round ledger from the *measured* densities — so the skeleton-graph
 construction (Lemma 6.2) is priced exactly as the paper prices it.
 
 Two executions share that pricing: :func:`sparse_minplus` runs dense
-factor matrices through the :func:`~repro.semiring.kernels.minplus`
-dispatcher, and :func:`sparse_minplus_join` runs factors given as
+factor matrices through the dense :func:`~repro.semiring.kernels.minplus`
+product, and :func:`sparse_minplus_join` runs factors given as
 ``(row, col, value)`` entry triples as a join on the inner index, with
 local work proportional to the :func:`join_candidates` it pairs instead
 of to ``rows * inner * cols``.  Both return bit-identical products: each
@@ -54,7 +54,6 @@ def sparse_minplus(
     rho_st_bound: Optional[float] = None,
     clique_n: Optional[int] = None,
     detail: str = "sparse min-plus product [CDKL21, Thm 8]",
-    kernel: Optional[str] = None,
 ) -> SparseProductResult:
     """Min-plus product priced by the [CDKL21] sparse-matmul formula.
 
@@ -77,11 +76,8 @@ def sparse_minplus(
         into ``n x n`` clique matrices; passing the clique size computes
         ``rho`` as total finite entries over ``clique_n`` rows, matching the
         paper's accounting.  Defaults to each factor's own row count.
-    kernel:
-        Explicit min-plus kernel name (see :mod:`repro.semiring.kernels`);
-        ``None`` defers to the ambient/auto selection.
     """
-    product = minplus(s, t, kernel=kernel)
+    product = minplus(s, t)
     if clique_n is not None:
         rho_s = float(np.isfinite(s).sum() / max(1, clique_n))
         rho_t = float(np.isfinite(t).sum() / max(1, clique_n))

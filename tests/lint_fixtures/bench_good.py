@@ -6,8 +6,8 @@ run_smoke.py's SUITES table.
 
 import json
 
-ARTIFACT = "BENCH_kernels.json"
-PAYLOAD = {"experiment": "E17-kernels", "records": [{"kernel": "broadcast"}]}
+ARTIFACT = "BENCH_query.json"
+PAYLOAD = {"experiment": "E20-query", "records": [{"n": 64}]}
 
 
 def emit():

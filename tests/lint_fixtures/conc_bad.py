@@ -2,7 +2,6 @@
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 _lock = threading.Lock()
 _CACHE = {}
@@ -30,14 +29,3 @@ def unguarded_cache_write(key, value):
 
 def unguarded_cache_update(entries):
     _CACHE.update(entries)  # conc-global-mutation
-
-
-def worker(task):
-    from repro.semiring import minplus
-
-    return minplus(task[0], task[1])
-
-
-def fan_out(tasks):
-    with ThreadPoolExecutor() as pool:
-        return list(pool.map(worker, tasks))  # conc-worker-contextvar

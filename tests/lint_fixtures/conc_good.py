@@ -1,7 +1,6 @@
 """Known-good concurrency corpus: nothing here may be flagged."""
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 _lock = threading.Lock()
 _CACHE = {}
@@ -24,25 +23,3 @@ def register_entry(key, value):
     # Import-time registration (the register_* decorator pattern) is
     # exempt: imports are effectively single-threaded.
     _CACHE[key] = value
-
-
-def pinned_worker(task):
-    from repro.semiring import minplus, use_kernel
-
-    kernel_pin, a, b = task
-    with use_kernel(kernel_pin):
-        return minplus(a, b)
-
-
-def explicit_worker(task):
-    from repro.semiring import minplus
-
-    kernel, a, b = task
-    return minplus(a, b, kernel=kernel)
-
-
-def fan_out(tasks):
-    with ThreadPoolExecutor() as pool:
-        pinned = list(pool.map(pinned_worker, tasks))
-        explicit = list(pool.map(explicit_worker, tasks))
-    return pinned + explicit

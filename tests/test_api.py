@@ -122,28 +122,11 @@ class TestSolverConfig:
             {"variant": "tradeoff"},  # missing t
             {"bandwidth_words": 0},
             {"validation": "sometimes"},
-            {"kernel": "bogus"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
-
-    def test_kernel_choice_does_not_change_results(self):
-        """Kernels are bit-identical, so the config knob is output-neutral."""
-        graph = small_er()
-        baseline = ApspSolver(
-            SolverConfig(variant="theorem11", seed=3, kernel="broadcast")
-        ).solve(graph)
-        for kernel in ("tiled", "int-repack", "auto", None):
-            result = ApspSolver(
-                SolverConfig(variant="theorem11", seed=3, kernel=kernel)
-            ).solve(graph)
-            assert np.array_equal(result.estimate, baseline.estimate), kernel
-
-    def test_kernel_round_trips_through_dict(self):
-        config = SolverConfig(variant="exact", kernel="tiled")
-        assert SolverConfig.from_dict(config.to_dict()) == config
 
     def test_rng_streams_are_deterministic_and_distinct(self):
         config = SolverConfig(seed=5)
@@ -157,6 +140,16 @@ class TestSolverConfig:
         config = SolverConfig(variant="tradeoff", t=2, seed=9,
                               validation="stretch")
         assert SolverConfig.from_dict(config.to_dict()) == config
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [({"kernel": "tiled"}, "kernel"), ({"bogus": 1}, "bogus")],
+    )
+    def test_from_dict_rejects_unknown_keys(self, extra, named):
+        data = SolverConfig(variant="exact").to_dict()
+        data.update(extra)
+        with pytest.raises(ValueError, match=f"unknown SolverConfig keys.*{named}"):
+            SolverConfig.from_dict(data)
 
     def test_solver_rejects_config_plus_overrides(self):
         with pytest.raises(ValueError):
@@ -186,12 +179,13 @@ class TestSolveMany:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_executors_agree(self, executor):
         graphs = self.make_graphs(count=2, n=36)
-        solver = ApspSolver(SolverConfig(variant="small-diameter", seed=11))
-        baseline = solver.solve_many(graphs, executor="serial")
-        got = solver.solve_many(graphs, executor=executor, max_workers=2)
-        for a, b in zip(baseline, got):
-            assert np.array_equal(a.estimate, b.estimate)
-            assert a.total_rounds == b.total_rounds
+        for variant in ("small-diameter", "theorem11"):
+            solver = ApspSolver(SolverConfig(variant=variant, seed=11))
+            baseline = solver.solve_many(graphs, executor="serial")
+            got = solver.solve_many(graphs, executor=executor, max_workers=2)
+            for a, b in zip(baseline, got):
+                assert np.array_equal(a.estimate, b.estimate), variant
+                assert a.total_rounds == b.total_rounds, variant
 
     def test_unknown_executor(self):
         with pytest.raises(ValueError, match="executor"):
@@ -280,52 +274,6 @@ class TestApspResultJson:
     def test_unknown_matrix_encoding_rejected(self):
         with pytest.raises(ValueError):
             self.solve_one().to_dict(matrix_encoding="pickle")
-
-
-class TestKernelPinPropagation:
-    """The ambient use_kernel pin must survive into executor workers."""
-
-    def graphs(self):
-        return [erdos_renyi(24, 0.25, make_rng(s)) for s in range(3)]
-
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_ambient_pin_reaches_workers(self, executor):
-        from repro.semiring import use_kernel
-
-        solver = ApspSolver(SolverConfig(variant="theorem11", seed=0))
-        with use_kernel("tiled"):
-            results = solver.solve_many(self.graphs(), executor=executor,
-                                        max_workers=2)
-        assert [r.meta.get("kernel_pin") for r in results] == ["tiled"] * 3
-
-    def test_config_kernel_beats_ambient_pin(self):
-        from repro.semiring import use_kernel
-
-        solver = ApspSolver(SolverConfig(variant="theorem11", seed=0,
-                                         kernel="broadcast"))
-        with use_kernel("tiled"):
-            result = solver.solve(self.graphs()[0])
-        assert result.meta["kernel_pin"] == "broadcast"
-
-    def test_no_pin_means_auto(self):
-        solver = ApspSolver(SolverConfig(variant="theorem11", seed=0))
-        result = solver.solve(self.graphs()[0])
-        assert result.meta["kernel_pin"] is None
-
-    def test_pinned_process_results_match_serial(self):
-        """Regression: a non-default kernel is honored under process
-        executors and still yields bit-identical estimates."""
-        from repro.semiring import use_kernel
-
-        solver = ApspSolver(SolverConfig(variant="theorem11", seed=3))
-        graphs = self.graphs()
-        with use_kernel("tiled"):
-            pinned = solver.solve_many(graphs, executor="process", max_workers=2)
-        plain = solver.solve_many(graphs, executor="serial")
-        for a, b in zip(pinned, plain):
-            assert np.array_equal(a.estimate, b.estimate)
-            assert a.meta["kernel_pin"] == "tiled"
-            assert b.meta["kernel_pin"] is None
 
 
 class TestRegistrySweep:

@@ -86,40 +86,6 @@ class TestCommands:
         with pytest.raises(SystemExit):
             parser.parse_args([])
 
-    def test_kernels_command(self, capsys):
-        code = main(["kernels", "--n", "40"])
-        assert code == 0
-        out = capsys.readouterr().out
-        from repro.semiring import iter_kernels
-
-        for spec in iter_kernels():
-            assert spec.name in out
-        assert "auto-selection" in out
-        assert "REPRO_MINPLUS_KERNEL" in out
-
-    def test_kernels_command_reports_true_auto_under_pin(self, capsys):
-        """--kernel pins execution but must not masquerade as the auto pick."""
-        code = main(["kernels", "--n", "40", "--kernel", "broadcast"])
-        assert code == 0
-        out = capsys.readouterr().out
-        from repro.semiring import auto_kernel
-        import numpy as np
-
-        expected = auto_kernel(np.ones((40, 40)), np.ones((40, 40)))
-        assert f"auto-selection for er (n=40): {expected}" in out
-        assert "pinned for this invocation" in out
-
-    @pytest.mark.parametrize("kernel", ["broadcast", "tiled", "auto"])
-    def test_run_with_explicit_kernel(self, kernel, capsys):
-        code = main(["run", "--n", "32", "--variant", "exact",
-                     "--kernel", kernel])
-        assert code == 0
-        assert "factor  : 1.00" in capsys.readouterr().out
-
-    def test_unknown_kernel_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--n", "32", "--kernel", "bogus"])
-
     def test_grid_family_via_cli(self, capsys):
         code = main(["run", "--n", "36", "--family", "grid", "--variant",
                      "small-diameter"])

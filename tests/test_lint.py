@@ -62,7 +62,6 @@ class TestRuleRegistry:
             "det-unseeded-rng", "det-global-random-state",
             "det-stdlib-random", "det-wallclock",
             "conc-blocking-in-lock", "conc-global-mutation",
-            "conc-worker-contextvar",
             "json-nan-leak",
             "alloc-no-out-in-loop", "alloc-dense-temp-in-loop",
             "reg-variant-metadata", "reg-bench-tag",
@@ -76,9 +75,9 @@ class TestRuleRegistry:
         wallclock = get_rule("det-wallclock")
         assert wallclock.applies_to("src/repro/core/apsp.py")
         assert not wallclock.applies_to("src/repro/serve/service.py")
-        assert not wallclock.applies_to("benchmarks/bench_kernels.py")
+        assert not wallclock.applies_to("benchmarks/bench_query.py")
         bench = get_rule("reg-bench-tag")
-        assert bench.applies_to("benchmarks/bench_kernels.py")
+        assert bench.applies_to("benchmarks/bench_query.py")
         assert not bench.applies_to("benchmarks/run_smoke.py")
 
     def test_duplicate_registration_rejected(self):
@@ -149,7 +148,6 @@ class TestConcurrencyFixtures:
             "conc-blocking-in-lock", "conc-blocking-in-lock",
             "conc-blocking-in-lock",
             "conc-global-mutation", "conc-global-mutation",
-            "conc-worker-contextvar",
         ]
 
     def test_good_corpus(self):

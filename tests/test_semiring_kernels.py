@@ -1,17 +1,17 @@
-"""Tests for the min-plus kernel subsystem (repro.semiring.kernels).
+"""Tests for the exact dense min-plus product (repro.semiring.kernels).
 
-The load-bearing contract: every registered kernel is **bit-identical**
-to the ``broadcast`` reference on arbitrary inputs — integer-valued,
-fractional, inf-laden, rectangular, and adversarially large values that
-force each internal path of ``int-repack`` (float32, int64 sentinel,
-float64 fallback).  Downstream, the ``k_smallest_in_rows`` ID tie-break
-must therefore be kernel-independent as well.
+The load-bearing contract: :func:`minplus` is **bit-identical** to the
+float64 broadcast formula on arbitrary inputs — integer-valued,
+fractional, inf-laden, rectangular, and values that force each of its
+representations (float32, int64 with an inf sentinel, float64).
+Downstream, the ``k_smallest_in_rows`` ID tie-break must therefore match
+the reference as well.
 
-Also covered: the selection precedence (argument > ``use_kernel`` context
-> ``REPRO_MINPLUS_KERNEL`` environment > auto), the exactness fix of
-``hop_limited_distances``, ``out=`` buffer semantics of the dispatcher,
-the ping-pong buffer reuse of ``minplus_power``, the gathered row-sparse
-product, and the content-hash exact-distance oracle cache.
+Also covered: which representation :func:`resolve_kernel` picks, the
+``REPRO_MINPLUS_BUDGET`` trust boundary, the exactness fix of
+``hop_limited_distances``, ``out=`` buffer semantics, the ping-pong
+buffer reuse of ``minplus_power``, the gathered row-sparse product, and
+the content-hash exact-distance oracle cache.
 """
 
 from __future__ import annotations
@@ -31,31 +31,25 @@ from repro.graphs import (
     minplus_square,
 )
 from repro.semiring import (
-    AUTO,
-    KERNEL_ENV,
-    auto_kernel,
-    get_kernel,
+    MemoryBudgetError,
+    hop_merge_row_sparse,
     hop_power_row_sparse,
-    iter_kernels,
     k_smallest_in_rows,
-    kernel_names,
-    kernels as kernels_module,
     minplus,
     minplus_gather,
     minplus_power,
-    register_kernel,
     resolve_kernel,
     row_sparse_from_dense,
-    use_kernel,
 )
 
 from tests.helpers import make_rng
 
-ALL_KERNELS = kernel_names()
-
 
 def reference(a, b):
-    return minplus(a, b, kernel="broadcast")
+    """The float64 broadcast formula every product must reproduce."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return (a[:, :, None] + b[None]).min(axis=1)
 
 
 def random_matrix(rng, shape, *, integral, inf_frac=0.25, lo=1, hi=100):
@@ -67,103 +61,77 @@ def random_matrix(rng, shape, *, integral, inf_frac=0.25, lo=1, hi=100):
     return out
 
 
-class TestRegistry:
-    def test_baseline_kernels_registered(self):
-        for name in ("broadcast", "tiled", "int-repack"):
-            assert name in ALL_KERNELS
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown min-plus kernel"):
-            minplus(np.zeros((2, 2)), np.zeros((2, 2)), kernel="bogus")
-
-    def test_retired_sharded_kernel_is_unknown(self):
-        retired = "sharded"
-        assert retired not in ALL_KERNELS
-        a = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="unknown min-plus kernel"):
-            minplus(a, a, kernel=retired)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_kernel("broadcast", summary="dup")(lambda *a: None)
-
-    def test_auto_name_reserved(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_kernel(AUTO, summary="nope")(lambda *a: None)
-
-    def test_specs_carry_metadata(self):
-        for spec in iter_kernels():
-            assert spec.summary
-            assert get_kernel(spec.name) is spec
-
-
 class TestKernelEquivalence:
-    """Every kernel must be bit-identical to the reference."""
+    """The product must be bit-identical to the reference."""
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS)
     @pytest.mark.parametrize("integral", [True, False])
     @pytest.mark.parametrize("n", [1, 2, 17, 64, 130])
-    def test_square_random(self, kernel, integral, n):
+    def test_square_random(self, integral, n):
         rng = make_rng(1000 * n + integral)
         a = random_matrix(rng, (n, n), integral=integral)
         b = random_matrix(rng, (n, n), integral=integral)
-        got = minplus(a, b, kernel=kernel)
-        assert np.array_equal(got, reference(a, b)), kernel
+        assert np.array_equal(minplus(a, b), reference(a, b))
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS)
     @pytest.mark.parametrize(
         "shape", [(1, 5, 3), (33, 9, 70), (70, 300, 5), (257, 40, 259)]
     )
-    def test_rectangular(self, kernel, shape):
+    def test_rectangular(self, shape):
         rows, inner, cols = shape
         rng = make_rng(sum(shape))
         a = random_matrix(rng, (rows, inner), integral=True)
         b = random_matrix(rng, (inner, cols), integral=False, inf_frac=0.5)
-        got = minplus(a, b, kernel=kernel)
-        assert np.array_equal(got, reference(a, b)), kernel
+        assert np.array_equal(minplus(a, b), reference(a, b))
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS)
-    def test_all_inf_rows_and_columns(self, kernel):
+    def test_all_inf_rows_and_columns(self):
         rng = make_rng(3)
-        a = random_matrix(rng, (20, 20), integral=True)
-        a[7, :] = np.inf
-        b = random_matrix(rng, (20, 20), integral=True)
-        b[:, 11] = np.inf
-        got = minplus(a, b, kernel=kernel)
-        ref = reference(a, b)
-        assert np.array_equal(got, ref)
-        assert np.all(np.isinf(got[7, :])) and np.all(np.isinf(got[:, 11]))
+        for hi in (100, 2**30, 2**55):  # float32, int64, float64
+            a = random_matrix(rng, (20, 20), integral=True, hi=hi)
+            a[7, :] = np.inf
+            b = random_matrix(rng, (20, 20), integral=True, hi=hi)
+            b[:, 11] = np.inf
+            got = minplus(a, b)
+            assert np.array_equal(got, reference(a, b)), hi
+            assert np.all(np.isinf(got[7, :])) and np.all(np.isinf(got[:, 11]))
+            # A factor with no finite entry at all.
+            assert np.all(np.isinf(minplus(np.full((20, 20), np.inf), b)))
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS)
-    def test_negative_entries(self, kernel):
+    def test_negative_entries(self):
         rng = make_rng(4)
         a = random_matrix(rng, (25, 25), integral=True, lo=-50, hi=50)
         b = random_matrix(rng, (25, 25), integral=True, lo=-50, hi=50)
-        assert np.array_equal(minplus(a, b, kernel=kernel), reference(a, b))
+        assert np.array_equal(minplus(a, b), reference(a, b))
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS)
     @pytest.mark.parametrize(
-        "magnitude",
+        "magnitude, special, representation",
         [
-            2**20,  # int-repack: float32 path
-            2**30,  # int-repack: int64 sentinel path
-            2**55,  # int-repack: float64 fallback (sums would round)
+            (2**20, None, "float32"),
+            (2**30, None, "int64"),  # inf -> sentinel
+            (2**55, None, "float64"),  # sums would round in any narrower type
+            (2**20, 0.5, "float64"),  # not an integer
+            # The int64 sentinel would turn -inf (and NaN) into +inf.
+            (2**30, -np.inf, "float64"),
+            (2**30, np.nan, "float64"),
         ],
     )
-    def test_value_range_paths(self, kernel, magnitude):
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # -inf + inf
+    def test_value_range_paths(self, magnitude, special, representation):
         rng = make_rng(int(np.log2(magnitude)))
         a = random_matrix(rng, (30, 30), integral=True, lo=1, hi=magnitude)
         b = random_matrix(rng, (30, 30), integral=True, lo=1, hi=magnitude)
-        assert np.array_equal(minplus(a, b, kernel=kernel), reference(a, b))
+        if special is not None:
+            a[0, 1] = special
+        assert resolve_kernel(a, b) == representation
+        assert resolve_kernel(b, a) == representation
+        assert np.array_equal(minplus(a, b), reference(a, b), equal_nan=True)
+        assert np.array_equal(minplus(b, a), reference(b, a), equal_nan=True)
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS)
-    def test_k_smallest_tie_break_downstream(self, kernel):
-        """The ID tie-break of Section 5 survives every kernel bit-for-bit."""
+    def test_k_smallest_tie_break_downstream(self):
+        """The ID tie-break of Section 5 survives the product bit-for-bit."""
         rng = make_rng(5)
         # Small weight range forces many ties in the product.
         a = random_matrix(rng, (60, 60), integral=True, lo=1, hi=5)
         idx_ref, val_ref = k_smallest_in_rows(reference(a, a), 7)
-        idx, val = k_smallest_in_rows(minplus(a, a, kernel=kernel), 7)
+        idx, val = k_smallest_in_rows(minplus(a, a), 7)
         assert np.array_equal(idx, idx_ref)
         assert np.array_equal(val, val_ref)
 
@@ -176,66 +144,45 @@ class TestKernelEquivalence:
             minplus(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
-class TestSelection:
-    def test_explicit_argument_wins(self, monkeypatch):
-        a = np.zeros((4, 4))
-        monkeypatch.setenv(KERNEL_ENV, "tiled")
-        with use_kernel("int-repack"):
-            assert resolve_kernel(a, a, "broadcast") == "broadcast"
+def _budget_site_minplus():
+    a = np.ones((4, 4))
+    minplus(a, a)
 
-    def test_context_beats_environment(self, monkeypatch):
-        a = np.zeros((4, 4))
-        monkeypatch.setenv(KERNEL_ENV, "tiled")
-        with use_kernel("broadcast"):
-            assert resolve_kernel(a, a) == "broadcast"
-        assert resolve_kernel(a, a) == "tiled"
 
-    def test_environment_override(self, monkeypatch):
-        a = np.zeros((4, 4))
-        monkeypatch.setenv(KERNEL_ENV, "tiled")
-        assert resolve_kernel(a, a) == "tiled"
-        monkeypatch.setenv(KERNEL_ENV, "bogus")
-        with pytest.raises(ValueError, match="unknown min-plus kernel"):
-            resolve_kernel(a, a)
+def _budget_site_gather():
+    minplus_gather(np.ones((4, 2)), np.zeros((4, 2), dtype=np.int64),
+                   np.ones((4, 4)))
 
-    def test_auto_defers_to_selection(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        ints = np.ones((8, 8))
-        floats = ints + 0.5
-        with use_kernel(AUTO):
-            if "numba" not in ALL_KERNELS:
-                assert resolve_kernel(ints, ints) == "int-repack"
-                assert resolve_kernel(floats, floats) == "broadcast"
-            big = np.full((kernels_module.TILED_MIN_DIM, 4), 0.5)
-            assert resolve_kernel(big, np.full((4, 4), 0.5)) in ("tiled", "numba")
 
-    def test_auto_kernel_ignores_pins(self, monkeypatch):
-        ints = np.ones((8, 8))
-        monkeypatch.setenv(KERNEL_ENV, "tiled")
-        with use_kernel("broadcast"):
-            assert resolve_kernel(ints, ints) == "broadcast"
-            if "numba" not in ALL_KERNELS:
-                assert auto_kernel(ints, ints) == "int-repack"
+def _budget_site_hop_merge():
+    matrix = np.ones((4, 4))
+    np.fill_diagonal(matrix, 0.0)
+    hop_merge_row_sparse(row_sparse_from_dense(matrix, 2), 2)
 
-    def test_use_kernel_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown min-plus kernel"):
-            with use_kernel("bogus"):
-                pass
 
-    def test_use_kernel_is_thread_local(self):
-        seen = {}
+class TestMemoryBudgetEnv:
+    """``REPRO_MINPLUS_BUDGET`` is checked once, the same way at every site."""
 
-        def probe(name):
-            a = np.ones((4, 4))
-            with use_kernel(name):
-                seen[name] = resolve_kernel(a, a)
+    SITES = {
+        "minplus": _budget_site_minplus,
+        "minplus_gather": _budget_site_gather,
+        "hop_merge_row_sparse": _budget_site_hop_merge,
+    }
 
-        with use_kernel("tiled"):
-            worker = threading.Thread(target=probe, args=("broadcast",))
-            worker.start()
-            worker.join()
-            assert resolve_kernel(np.ones((4, 4)), np.ones((4, 4))) == "tiled"
-        assert seen["broadcast"] == "broadcast"
+    @pytest.mark.parametrize("site", sorted(SITES))
+    @pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-5"])
+    def test_bad_values_rejected(self, monkeypatch, site, raw):
+        monkeypatch.setenv("REPRO_MINPLUS_BUDGET", raw)
+        with pytest.raises(MemoryBudgetError) as caught:
+            self.SITES[site]()
+        assert isinstance(caught.value, ValueError)
+        assert "REPRO_MINPLUS_BUDGET" in str(caught.value)
+        assert repr(raw) in str(caught.value)
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_positive_integer_accepted(self, monkeypatch, site):
+        monkeypatch.setenv("REPRO_MINPLUS_BUDGET", "1")
+        self.SITES[site]()
 
 
 class TestPowersAndGather:
@@ -299,12 +246,12 @@ class TestPowersAndGather:
 class TestOutBuffer:
     def test_dispatcher_writes_into_out(self):
         rng = make_rng(31)
-        a = random_matrix(rng, (30, 30), integral=True)
-        for kernel in ALL_KERNELS:
+        for hi in (100, 2**30, 2**55):  # float32, int64, float64
+            a = random_matrix(rng, (30, 30), integral=True, hi=hi)
             out = np.empty((30, 30))
-            result = minplus(a, a, kernel=kernel, out=out)
-            assert result is out, kernel
-            assert np.array_equal(out, reference(a, a)), kernel
+            result = minplus(a, a, out=out)
+            assert result is out, hi
+            assert np.array_equal(out, reference(a, a)), hi
 
     def test_out_validation(self):
         a = np.zeros((4, 4))
@@ -321,16 +268,15 @@ class TestOutBuffer:
 
 
 class TestMinplusPowerPingPong:
-    @pytest.mark.parametrize("kernel", ["broadcast", "tiled"])
     @pytest.mark.parametrize("exponent", [1, 2, 3, 5, 8])
-    def test_matches_iterated_product(self, kernel, exponent):
+    def test_matches_iterated_product(self, exponent):
         rng = make_rng(41 + exponent)
         a = random_matrix(rng, (24, 24), integral=True)
         np.fill_diagonal(a, 0.0)
         expected = a
         for _ in range(exponent - 1):
             expected = reference(expected, a)
-        assert np.array_equal(minplus_power(a, exponent, kernel=kernel), expected)
+        assert np.array_equal(minplus_power(a, exponent), expected)
 
     def test_input_not_mutated(self):
         rng = make_rng(43)
@@ -448,9 +394,3 @@ class TestBackCompatAliases:
         rng = make_rng(8)
         a = random_matrix(rng, (12, 12), integral=True)
         assert np.array_equal(minplus_square(a), reference(a, a))
-
-    def test_legacy_block_argument_still_accepted(self):
-        rng = make_rng(9)
-        a = random_matrix(rng, (12, 12), integral=True)
-        assert np.array_equal(minplus(a, a, block=4), reference(a, a))
-        assert np.array_equal(minplus_product(a, a, block=4), reference(a, a))
