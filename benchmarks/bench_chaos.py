@@ -24,8 +24,8 @@ byzantine stack:
   the exact clean estimate.
 
 Results land in ``BENCH_chaos.json`` at the repo root.  Smoke mode
-(``REPRO_BENCH_SMOKE=1``) shrinks sizes and the sweep; the assertions
-are identical.
+(``REPRO_BENCH_SMOKE=1``) shrinks sizes and the sweep and writes under
+``.bench_smoke/`` instead; the assertions are identical.
 """
 
 from __future__ import annotations
@@ -47,14 +47,13 @@ from repro.cclique import (
 )
 from repro.chaos import run_scenario
 
+from conftest import artifact_path
+
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SIZES = (32,) if SMOKE else (128, 256)
 DROPS = (0.0, 0.1) if SMOKE else (0.0, 0.02, 0.05, 0.1)
 SEED = 0
 RETRIES = 4
-JSON_PATH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "BENCH_chaos.json")
-)
 
 
 def measure() -> Dict:
@@ -334,7 +333,7 @@ def test_chaos_curves(chaos_records, byzantine_records, results_sink, benchmark)
         "e23_byzantine_points": byzantine_records["byzantine_points"],
         "e23_pipeline_points": byzantine_records["pipeline_points"],
     }
-    with open(JSON_PATH, "w", encoding="utf-8") as sink:
+    with open(artifact_path("BENCH_chaos.json"), "w", encoding="utf-8") as sink:
         json.dump(payload, sink, indent=2)
     assert payload == json.loads(json.dumps(payload, allow_nan=False))
 

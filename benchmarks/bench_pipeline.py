@@ -68,7 +68,7 @@ from repro.semiring import INF, sparse_minplus
 from repro.semiring.minplus import k_smallest_in_rows
 from repro.spanners import baswana_sengupta_spanner, spanner_edge_bound
 
-from conftest import rng_for, workload
+from conftest import artifact_path, rng_for, workload
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SIZES = (96,) if SMOKE else (128, 256, 512)
@@ -83,9 +83,6 @@ PIPELINES = (
     ("theorem11", {}),
     ("tradeoff", {"t": 2}),
     ("small-diameter", {}),
-)
-JSON_PATH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "BENCH_pipeline.json")
 )
 
 
@@ -602,7 +599,7 @@ def test_pipeline_phase_breakdown(pipeline_records, construction_records,
         "records": pipeline_records,
         "construction": construction_records,
     }
-    with open(JSON_PATH, "w", encoding="utf-8") as sink:
+    with open(artifact_path("BENCH_pipeline.json"), "w", encoding="utf-8") as sink:
         json.dump(payload, sink, indent=2)
 
     graph = workload("er-dense", SIZES[-1])

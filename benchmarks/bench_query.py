@@ -38,13 +38,10 @@ from repro.core.routing_tables import (
 from repro.graphs import cached_exact_apsp, erdos_renyi
 from repro.serve import DistanceOracle, route_batch
 
-from conftest import rng_for
+from conftest import artifact_path, rng_for
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SIZES = (32, 64) if SMOKE else (64, 128, 256, 512)
-JSON_PATH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "BENCH_query.json")
-)
 
 
 def workload(n: int):
@@ -162,7 +159,7 @@ def test_batch_router_identical_and_fast(query_records, results_sink, benchmark)
         "smoke": SMOKE,
         "records": query_records,
     }
-    with open(JSON_PATH, "w", encoding="utf-8") as sink:
+    with open(artifact_path("BENCH_query.json"), "w", encoding="utf-8") as sink:
         json.dump(payload, sink, indent=2)
 
     n = SIZES[-1]

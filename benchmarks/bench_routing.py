@@ -41,13 +41,10 @@ from repro.cclique import (
     route_two_phase_reference,
 )
 
-from conftest import rng_for
+from conftest import artifact_path, rng_for
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SIZES = (32, 64) if SMOKE else (64, 128, 256, 512)
-JSON_PATH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "BENCH_routing.json")
-)
 
 
 def full_load(n: int, rng) -> list:
@@ -149,7 +146,7 @@ def test_routing_planes_identical_and_fast(routing_records, results_sink, benchm
         "smoke": SMOKE,
         "records": routing_records,
     }
-    with open(JSON_PATH, "w", encoding="utf-8") as sink:
+    with open(artifact_path("BENCH_routing.json"), "w", encoding="utf-8") as sink:
         json.dump(payload, sink, indent=2)
 
     n = SIZES[-1]

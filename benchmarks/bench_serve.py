@@ -35,7 +35,7 @@ from repro.analysis import emit, format_table
 from repro.graphs import erdos_renyi
 from repro.serve import OracleService, ServiceConfig, run_closed_loop
 
-from conftest import rng_for
+from conftest import artifact_path, rng_for
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 N = 64 if SMOKE else 256
@@ -43,9 +43,6 @@ LEVELS = (2, 4, 8) if SMOKE else (8, 64, 256)
 REQUESTS = 60 if SMOKE else 2000
 MAX_BATCH = 16 if SMOKE else 128
 ENDPOINTS = ("distance", "route")
-JSON_PATH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "BENCH_serve.json")
-)
 
 
 def build_service():
@@ -202,7 +199,7 @@ def test_serving_tier_identical_and_fast(serve_records, results_sink, benchmark)
         "records": serve_records["records"],
         "metrics_snapshot": serve_records["snapshot"],
     }
-    with open(JSON_PATH, "w", encoding="utf-8") as sink:
+    with open(artifact_path("BENCH_serve.json"), "w", encoding="utf-8") as sink:
         json.dump(payload, sink, indent=2)
 
     service, handle, sources, targets = build_service()

@@ -14,24 +14,23 @@ index (E1-E12).  Conventions:
 from __future__ import annotations
 
 import os
+import zlib
 from typing import Dict, List
 
 import numpy as np
 import pytest
 
 from repro.cclique import RoundLedger
-from repro.core.registry import VariantSpec, iter_variants, run_variant
-from repro.graphs import (
-    WeightedGraph,
-    cached_exact_apsp,
-    erdos_renyi,
-    grid_graph,
-    heavy_tail_weights,
-    path_with_shortcuts,
-    polynomial_weights,
-)
+from repro.cli import build_workload
+from repro.core.registry import VARIANTS, VariantSpec, run_variant
+from repro.graphs import WeightedGraph, cached_exact_apsp
 
-RESULTS_FILE = os.path.join(os.path.dirname(__file__), "..", "bench_results.md")
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+RESULTS_FILE = os.path.join(ROOT, "bench_results.md")
+
+#: Smoke runs (``REPRO_BENCH_SMOKE=1``) write their artifacts here,
+#: gitignored, so they never overwrite the committed full-run artifacts.
+SMOKE_ARTIFACT_DIR = os.path.join(ROOT, ".bench_smoke")
 
 
 def sink_path() -> str:
@@ -52,13 +51,31 @@ def results_sink() -> str:
     return path
 
 
+def artifact_path(name: str) -> str:
+    """Where the ``BENCH_*.json`` artifact ``name`` is written and read.
+
+    Full runs use the committed artifact at the repo root; smoke runs use
+    :data:`SMOKE_ARTIFACT_DIR`.
+    """
+    if os.environ.get("REPRO_BENCH_SMOKE", "0") != "1":
+        return os.path.join(ROOT, name)
+    os.makedirs(SMOKE_ARTIFACT_DIR, exist_ok=True)
+    return os.path.join(SMOKE_ARTIFACT_DIR, name)
+
+
 def rng_for(tag: str) -> np.random.Generator:
-    return np.random.default_rng(abs(hash(tag)) % (2**32))
+    """A generator seeded from ``tag`` alone.
+
+    ``zlib.crc32`` rather than ``hash``: ``str`` hashes are salted per
+    process (``PYTHONHASHSEED``), which would change every workload from
+    one run to the next.
+    """
+    return np.random.default_rng(zlib.crc32(tag.encode("utf-8")))
 
 
 def registered_variants() -> List[VariantSpec]:
     """The solver catalogue, in registration order (registry-driven)."""
-    return list(iter_variants())
+    return list(VARIANTS)
 
 
 def run_registered(name: str, graph: WeightedGraph, tag: str, **params):
@@ -75,7 +92,7 @@ def run_registered(name: str, graph: WeightedGraph, tag: str, **params):
     return result, ledger
 
 
-@pytest.fixture(params=[spec.name for spec in iter_variants()])
+@pytest.fixture(params=list(VARIANTS.names()))
 def variant_name(request) -> str:
     """Parametrized fixture iterating every registered variant name."""
     return request.param
@@ -85,28 +102,10 @@ _GRAPH_CACHE: Dict[str, WeightedGraph] = {}
 
 
 def workload(name: str, n: int) -> WeightedGraph:
-    """Named, cached benchmark workloads."""
+    """Named, cached benchmark workloads (the CLI's ``--family`` graphs)."""
     key = f"{name}:{n}"
     if key not in _GRAPH_CACHE:
-        rng = rng_for(key)
-        if name == "er":
-            graph = erdos_renyi(n, min(1.0, 6.0 / n), rng)
-        elif name == "er-dense":
-            graph = erdos_renyi(n, min(1.0, 24.0 / n), rng)
-        elif name == "grid":
-            side = max(2, int(round(n**0.5)))
-            graph = grid_graph(side, rng)
-        elif name == "path":
-            graph = path_with_shortcuts(n, rng, shortcut_count=n // 10)
-        elif name == "heavy":
-            graph = erdos_renyi(n, min(1.0, 8.0 / n), rng, weights=heavy_tail_weights())
-        elif name == "poly":
-            graph = erdos_renyi(
-                n, min(1.0, 8.0 / n), rng, weights=polynomial_weights(n, 2.5)
-            )
-        else:
-            raise ValueError(f"unknown workload {name!r}")
-        _GRAPH_CACHE[key] = graph
+        _GRAPH_CACHE[key] = build_workload(name, n, rng_for(key))
     return _GRAPH_CACHE[key]
 
 

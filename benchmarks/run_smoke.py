@@ -4,7 +4,9 @@
 Runs every benchmark plane in ``REPRO_BENCH_SMOKE=1`` mode, then
 validates the ``BENCH_*.json`` artifact each one emits — existence, the
 expected experiment tag, and the plane's own gate (non-empty records,
-bit-identity flags, chaos curves present).  Any pytest failure or
+bit-identity flags, chaos curves present).  Smoke artifacts go to the
+gitignored ``.bench_smoke/`` (``conftest.artifact_path``), so a smoke run
+leaves the committed full-run artifacts untouched.  Any pytest failure or
 artifact regression makes the runner exit non-zero, so one CI step
 covers every plane.
 
@@ -77,7 +79,10 @@ def run_suite(module: str, env: Dict[str, str]) -> bool:
 def validate_artifact(
     artifact: str, tag: str, gate: Callable[[Dict[str, Any]], List[str]]
 ) -> List[str]:
-    path = os.path.join(ROOT, artifact)
+    # conftest imports repro; main() puts src/ on the path first.
+    from conftest import artifact_path
+
+    path = artifact_path(artifact)
     if not os.path.exists(path):
         return [f"{artifact}: not written"]
     try:
@@ -138,8 +143,9 @@ def validate_lint_artifact(path: str) -> List[str]:
 
 
 def main() -> int:
+    os.environ["REPRO_BENCH_SMOKE"] = "1"
+    sys.path.insert(0, os.path.join(ROOT, "src"))
     env = dict(os.environ)
-    env["REPRO_BENCH_SMOKE"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )

@@ -21,8 +21,9 @@ Quickstart — the unified solver facade::
 
 Every algorithm (Theorem 1.1, the Theorem 1.2 tradeoff, Theorem 7.1,
 Theorem 8.1, and the exact/UY90/spanner baselines) lives in one variant
-registry (:mod:`repro.core.registry`); ``SolverConfig(variant=...)``
-selects by name and adding an algorithm is a one-decorator change.
+catalogue, ``VARIANTS`` (:mod:`repro.core.registry`);
+``SolverConfig(variant=...)`` selects by name and adding an algorithm is
+a one-decorator change.
 
 Back-compat path — the legacy convenience function::
 
@@ -45,13 +46,16 @@ Package layout (see DESIGN.md):
   artifacts, batch greedy routing, k-nearest, stretch audits) and the
   async serving tier on top (:class:`OracleService`: micro-batched
   front-end, per-tenant stores, metrics),
-* :mod:`repro.analysis` — stretch profiles and experiment tables.
+* :mod:`repro.analysis` — stretch profiles and experiment tables,
+* :mod:`repro.registry` — the one catalogue type behind the variant,
+  chaos-scenario and lint-rule catalogues.
 """
 
 from .api import ApspResult, ApspSolver, SolverConfig
 from .cclique import ArrayClique, MessageBatch, RoundLedger, SimulatedClique
 from .core import (
     Estimate,
+    VARIANTS,
     VariantSpec,
     approximate_apsp,
     apsp_large_bandwidth,
@@ -61,8 +65,6 @@ from .core import (
     build_knearest_hopset,
     build_skeleton,
     exact_apsp_baseline,
-    get_variant,
-    iter_variants,
     knearest_exact_via_hopset,
     knearest_iterated,
     lift_zero_weights,
@@ -71,7 +73,6 @@ from .core import (
     run_variant,
     spanner_only_baseline,
     uy90_baseline,
-    variant_names,
 )
 from .graphs import (
     ExactOracleCache,
@@ -119,6 +120,7 @@ __all__ = [
     "SimulatedClique",
     "SolverConfig",
     "StretchAudit",
+    "VARIANTS",
     "VariantSpec",
     "WeightedGraph",
     "approximate_apsp",
@@ -137,9 +139,7 @@ __all__ = [
     "erdos_renyi",
     "exact_apsp",
     "exact_apsp_baseline",
-    "get_variant",
     "grid_graph",
-    "iter_variants",
     "knearest_exact_via_hopset",
     "knearest_iterated",
     "lift_zero_weights",
@@ -150,6 +150,5 @@ __all__ = [
     "run_variant",
     "spanner_only_baseline",
     "uy90_baseline",
-    "variant_names",
     "__version__",
 ]

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..cclique.accounting import RoundLedger
-from ..core.registry import get_variant, iter_variants, run_variant
+from ..core.registry import VARIANTS, run_variant
 from ..core.results import Estimate
 from ..graphs.distances import cached_exact_apsp
 from ..graphs.graph import WeightedGraph
@@ -117,9 +117,9 @@ def registry_algorithms(
     if variants is not None:
         requested = list(variants)
         for name in requested:
-            get_variant(name)  # fail fast on unknown names
+            VARIANTS.get(name)  # fail fast on unknown names
     algorithms: Dict[str, Algorithm] = {}
-    for spec in iter_variants():
+    for spec in VARIANTS:
         if requested is not None and spec.name not in requested:
             continue
 

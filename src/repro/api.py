@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from .cclique.accounting import LedgerEntry, RoundLedger
-from .core.registry import VariantSpec, get_variant, run_variant
+from .core.registry import VARIANTS, VariantSpec, run_variant
 from .core.results import Estimate
 from .graphs.distances import cached_exact_apsp
 from .graphs.graph import WeightedGraph
@@ -73,8 +73,9 @@ class SolverConfig:
         factor.
     extra_params:
         Additional variant-specific keyword parameters (e.g.
-        ``{"hop_parameter": 8}`` for UY90); unknown keys are dropped by
-        the registry's parameter resolution.
+        ``{"hop_parameter": 8}`` for UY90).  Every key must be one the
+        variant accepts; others raise ``ValueError`` naming them and the
+        accepted parameters.
     """
 
     variant: str = "theorem11"
@@ -86,13 +87,21 @@ class SolverConfig:
     extra_params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        spec = get_variant(self.variant)  # raises ValueError on unknown
+        spec = VARIANTS.get(self.variant)  # raises ValueError on unknown
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.t is not None and self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if "t" in spec.required_params and self.t is None:
             raise ValueError(f"variant={self.variant!r} requires the parameter t")
+        accepted = spec.accepted_params + spec.required_params
+        unknown = sorted(set(self.extra_params) - set(accepted))
+        if unknown:
+            raise ValueError(
+                f"variant={self.variant!r} does not accept "
+                f"{', '.join(unknown)}; accepted: "
+                f"{', '.join(sorted(accepted)) or '(none)'}"
+            )
         if int(self.bandwidth_words) < 1:
             raise ValueError("bandwidth_words must be >= 1")
         if self.validation not in VALIDATION_MODES:
@@ -104,7 +113,7 @@ class SolverConfig:
     @property
     def spec(self) -> VariantSpec:
         """The registered spec this config targets."""
-        return get_variant(self.variant)
+        return VARIANTS.get(self.variant)
 
     def params(self) -> Dict[str, Any]:
         """Variant parameters to forward to the registry dispatch."""

@@ -3,12 +3,12 @@
 Pairs seeded :class:`~repro.cclique.faults.FaultPlan` injections with
 protocol runs and scores the outcome — delivery rate, stretch
 degradation vs the fault-free differential reference, rounds to
-recovery.  Scenarios live in one registry mirroring the algorithm
-variant registry (:mod:`repro.core.registry`)::
+recovery.  Scenarios live in one :class:`~repro.registry.Registry`,
+``SCENARIOS``, the same catalogue type as the algorithm variants::
 
-    from repro.chaos import run_scenario, scenario_names
+    from repro.chaos import SCENARIOS, run_scenario
 
-    for name in scenario_names():
+    for name in SCENARIOS.names():
         report = run_scenario(name, n=64, seed=0)
         print(name, report.score)
 
@@ -17,13 +17,11 @@ Entry points: ``python -m repro chaos`` (scored table + JSON report),
 """
 
 from .registry import (
+    SCENARIOS,
     ScenarioRunner,
     ScenarioSpec,
-    get_scenario,
-    iter_scenarios,
     register_scenario,
     run_scenario,
-    scenario_names,
 )
 from .scoring import (
     ChaosReport,
@@ -37,16 +35,14 @@ from .scoring import (
 from . import scenarios  # noqa: E402,F401  (registration side effect)
 
 __all__ = [
+    "SCENARIOS",
     "ChaosReport",
     "RunMetrics",
     "ScenarioRunner",
     "ScenarioSpec",
     "delivery_rate",
-    "get_scenario",
-    "iter_scenarios",
     "recovery_score",
     "register_scenario",
     "run_scenario",
-    "scenario_names",
     "stretch_degradation",
 ]

@@ -1,11 +1,12 @@
 """Scenario registry: one catalogue of every chaos scenario in the repo.
 
-Mirrors :mod:`repro.core.registry` (the algorithm-variant registry) for
-the resilience workload class: a scenario pairs a
+The resilience counterpart of :mod:`repro.core.registry`, built on the
+same :class:`~repro.registry.Registry` type: a scenario pairs a
 :class:`~repro.cclique.faults.FaultPlan` with a protocol run and a
-scoring rule, registers itself once via :func:`register_scenario`, and
-every consumer — ``python -m repro chaos``, ``benchmarks/bench_chaos.py``,
-the test suite — enumerates the same catalogue.
+scoring rule, registers itself once via :func:`register_scenario` into
+:data:`SCENARIOS`, and every consumer — ``python -m repro chaos``,
+``benchmarks/bench_chaos.py``, the test suite — enumerates the same
+catalogue.
 
 The uniform runner signature is
 ``runner(n, seed, **params) -> ChaosReport``; :func:`run_scenario` is
@@ -17,8 +18,9 @@ runner only fills in the plan, the runs, and the score.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
+from ..registry import Registry
 from .scoring import ChaosReport
 
 #: Uniform runner signature: (n, seed, **params) -> ChaosReport.
@@ -52,7 +54,8 @@ class ScenarioSpec:
         return resolved
 
 
-_SCENARIOS: Dict[str, ScenarioSpec] = {}
+#: The scenario catalogue, in registration order.
+SCENARIOS: Registry[ScenarioSpec] = Registry("scenario")
 
 
 def register_scenario(
@@ -70,45 +73,24 @@ def register_scenario(
     """
 
     def decorator(runner: ScenarioRunner) -> ScenarioRunner:
-        if name in _SCENARIOS:
-            raise ValueError(f"scenario {name!r} is already registered")
-        _SCENARIOS[name] = ScenarioSpec(
+        SCENARIOS.add(name, ScenarioSpec(
             name=name,
             runner=runner,
             summary=summary,
             faults=faults,
             recovery=recovery,
             default_params=dict(default_params or {}),
-        )
+        ))
         return runner
 
     return decorator
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    spec = _SCENARIOS.get(name)
-    if spec is None:
-        raise ValueError(
-            f"unknown scenario {name!r}; registered: "
-            f"{', '.join(_SCENARIOS) or '(none)'}"
-        )
-    return spec
-
-
-def scenario_names() -> List[str]:
-    """Registered scenario names, in registration order."""
-    return list(_SCENARIOS)
-
-
-def iter_scenarios() -> Iterator[ScenarioSpec]:
-    return iter(_SCENARIOS.values())
 
 
 def run_scenario(
     name: str, n: int = 64, seed: int = 0, **params: Any
 ) -> ChaosReport:
     """Run one registered scenario and return its stamped report."""
-    spec = get_scenario(name)
+    spec = SCENARIOS.get(name)
     resolved = spec.resolve_params(**params)
     report = spec.runner(int(n), int(seed), **resolved)
     report.scenario = spec.name
@@ -119,11 +101,9 @@ def run_scenario(
 
 
 __all__ = [
+    "SCENARIOS",
     "ScenarioRunner",
     "ScenarioSpec",
-    "get_scenario",
-    "iter_scenarios",
     "register_scenario",
     "run_scenario",
-    "scenario_names",
 ]

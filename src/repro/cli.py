@@ -53,7 +53,7 @@ import numpy as np
 from .analysis import format_table, stretch_profile, summarize_stretch
 from .api import ApspSolver, SolverConfig
 from .cclique import MessageBatch, RoundLedger, route_batch_two_phase
-from .core import iter_variants, run_variant, variant_names
+from .core import VARIANTS, run_variant
 from .graphs import (
     WeightedGraph,
     cached_exact_apsp,
@@ -137,7 +137,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     rows = []
     # Every registered variant, in registration order; variants with
     # required parameters (thm 1.2's t) run at their declared defaults.
-    for spec in iter_variants():
+    for spec in VARIANTS:
         ledger = RoundLedger(graph.n)
         result = run_variant(
             spec.name, graph, rng=rng, ledger=ledger, apply_defaults=True
@@ -447,12 +447,12 @@ def _coerce_param(value: str):
 def cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
-    from .chaos import get_scenario, iter_scenarios, run_scenario
+    from .chaos import SCENARIOS, run_scenario
 
     if args.list:
         rows = [
             (spec.name, spec.faults, spec.recovery)
-            for spec in iter_scenarios()
+            for spec in SCENARIOS
         ]
         print(format_table(["scenario", "faults", "recovery"], rows,
                            title="registered chaos scenarios"))
@@ -465,13 +465,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         key, _, value = item.partition("=")
         overrides[key] = _coerce_param(value)
 
-    names = [args.scenario] if args.scenario else [
-        spec.name for spec in iter_scenarios()
-    ]
+    names = (args.scenario,) if args.scenario else SCENARIOS.names()
     reports = []
     rows = []
     for name in names:
-        accepted = get_scenario(name).default_params
+        accepted = SCENARIOS.get(name).default_params
         params = {k: v for k, v in overrides.items() if k in accepted}
         report = run_scenario(name, n=args.n, seed=args.seed, **params)
         reports.append(report)
@@ -509,7 +507,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     # Lazy import: the lint plane is pure stdlib-ast tooling that no
     # other command needs in its import path.
     from .lint import (
-        get_rule,
+        RULES,
         lint_tree,
         render_report,
         render_rule_listing,
@@ -522,7 +520,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     rules = None
     if args.rules:
         rules = [
-            get_rule(rule_id.strip())
+            RULES.get(rule_id.strip())
             for rule_id in args.rules.split(",")
             if rule_id.strip()
         ]
@@ -545,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_arguments(run_parser)
     run_parser.add_argument(
         "--variant",
-        choices=variant_names(),
+        choices=VARIANTS.names(),
         default="theorem11",
     )
     run_parser.add_argument("--t", type=int, default=2, help="tradeoff parameter")
@@ -576,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_arguments(profile_parser)
     profile_parser.add_argument(
         "--variant",
-        choices=variant_names(),
+        choices=VARIANTS.names(),
         default="theorem11",
     )
     profile_parser.add_argument(
@@ -590,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_arguments(query_parser)
     query_parser.add_argument(
         "--variant",
-        choices=variant_names(),
+        choices=VARIANTS.names(),
         default="theorem11",
     )
     query_parser.add_argument(
@@ -610,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_arguments(routes_parser)
     routes_parser.add_argument(
         "--variant",
-        choices=variant_names(),
+        choices=VARIANTS.names(),
         default="theorem11",
     )
     routes_parser.add_argument(
@@ -628,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_arguments(serve_parser)
     serve_parser.add_argument(
         "--variant",
-        choices=variant_names(),
+        choices=VARIANTS.names(),
         default="theorem11",
     )
     serve_parser.add_argument(
@@ -677,12 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=int, default=48, help="clique size for each scenario"
     )
     chaos_parser.add_argument("--seed", type=int, default=0)
-    from .chaos import scenario_names
+    from .chaos import SCENARIOS
 
     chaos_parser.add_argument(
         "--scenario",
         default=None,
-        choices=scenario_names(),
+        choices=SCENARIOS.names(),
         help="one scenario name (default: run every registered scenario)",
     )
     chaos_parser.add_argument(

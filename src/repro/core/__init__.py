@@ -15,12 +15,10 @@ from .knearest import (
 from .large_bandwidth import apsp_large_bandwidth, scaled_bandwidth_words
 from .params import ReductionPlan, plan_reduction
 from .registry import (
+    VARIANTS,
     VariantSpec,
-    get_variant,
-    iter_variants,
     register_variant,
     run_variant,
-    variant_names,
 )
 from .results import Estimate
 from .skeleton import (
@@ -58,6 +56,7 @@ __all__ = [
     "ScalingPlan",
     "Skeleton",
     "SkeletonError",
+    "VARIANTS",
     "VariantSpec",
     "approximate_apsp",
     "apsp_large_bandwidth",
@@ -75,8 +74,6 @@ __all__ = [
     "exact_apsp_baseline",
     "exact_fallback",
     "extend_estimate",
-    "get_variant",
-    "iter_variants",
     "knearest_exact_via_hopset",
     "knearest_iterated",
     "knearest_one_round",
@@ -94,7 +91,6 @@ __all__ = [
     "spanner_only_baseline",
     "tradeoff_factor_bound",
     "uy90_baseline",
-    "variant_names",
     "verify_scaling_guarantees",
     "verify_skeleton_conditions",
 ]

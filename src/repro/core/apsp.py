@@ -57,10 +57,6 @@ def apsp_theorem11(
     ledger: Optional[RoundLedger] = None,
     eps: float = 0.1,
     tradeoff_t: Optional[int] = None,
-    faults: Any = None,
-    max_retries: int = 0,
-    recovery: Optional[str] = None,
-    integrity: Any = None,
 ) -> Estimate:
     """Theorem 1.1 (or Theorem 1.2 when ``tradeoff_t`` is given).
 
@@ -77,33 +73,15 @@ def apsp_theorem11(
         When set, the inner per-scale solver is the round-limited
         Lemma 8.2 with parameter ``t + 1`` (Lemma 8.3), yielding the
         Theorem 1.2 tradeoff instead of the fixed constant factor.
-    faults, max_retries, recovery, integrity:
-        A chaos configuration (see :mod:`repro.cclique.faults` and
-        :func:`~repro.cclique.routing.route_batch_two_phase`).  When
-        ``faults`` is set the input graph is first *disseminated* over
-        the faulted fabric (every edge shipped both directions, see
-        :mod:`repro.protocols.dissemination`) and the solver runs on
-        whatever survived — degraded bandwidth and loss show up as
-        stretched estimates, recorded in ``meta["dissemination"]``.
+
+    Running over a faulted fabric is :func:`approximate_apsp`'s job: it
+    disseminates the graph first and dispatches on what survived.
     """
     if graph.directed:
         raise ValueError("Theorem 1.1 applies to undirected graphs")
-    dissemination_meta = None
-    if faults is not None:
-        from ..protocols.dissemination import disseminate_graph
-
-        shipped = disseminate_graph(
-            graph, faults=faults, max_retries=max_retries,
-            recovery=recovery, integrity=integrity,
-        )
-        graph = shipped.graph
-        dissemination_meta = shipped.describe()
     n = graph.n
     if n <= params.exact_small_threshold(n) or graph.num_edges * 3 <= n:
-        fallback = exact_fallback(graph, ledger)
-        if dissemination_meta is not None:
-            fallback.meta["dissemination"] = dissemination_meta
-        return fallback
+        return exact_fallback(graph, ledger)
 
     # Step 1: exact k0-nearest distances on G itself.
     k0 = params.theorem11_k0(n)
@@ -167,8 +145,6 @@ def apsp_theorem11(
         "inner_factor": inner.factor,
         "simulation_bandwidth_words": words,
     }
-    if dissemination_meta is not None:
-        meta["dissemination"] = dissemination_meta
     return Estimate(estimate=final, factor=factor, meta=meta)
 
 
@@ -200,7 +176,7 @@ def approximate_apsp(
         Randomness source (fresh default generator if omitted — pass one
         for reproducibility).
     variant:
-        Any registered variant name (``repro.core.registry.variant_names()``).
+        Any registered variant name (``repro.core.registry.VARIANTS.names()``).
         The built-ins include ``"theorem11"`` (the headline Theorem 1.1
         O(1)-approximation), ``"small-diameter"`` (Theorem 7.1),
         ``"tradeoff"`` (Theorem 1.2, requires ``t``), ``"exact"``,

@@ -3,7 +3,8 @@
 Historically each consumer (``approximate_apsp``, the CLI, the benchmark
 harness) kept its own if/elif ladder over the algorithm variants.  The
 registry replaces those ladders with a single source of truth: every
-algorithm registers itself once via :func:`register_variant`, carrying the
+algorithm registers itself once via :func:`register_variant` into
+:data:`VARIANTS`, carrying the
 metadata the consumers need — display name, factor-bound formula, required
 and accepted parameters, graph requirements — plus a uniform solver
 signature ``solver(graph, rng, ledger, **params) -> Estimate``.
@@ -23,12 +24,13 @@ produce bit-identical estimates for the same seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..cclique.accounting import RoundLedger
 from ..graphs.graph import WeightedGraph
+from ..registry import Registry
 from .results import Estimate
 
 #: Uniform solver signature: (graph, rng, ledger, **params) -> Estimate.
@@ -96,7 +98,8 @@ class VariantSpec:
             )
 
 
-_REGISTRY: Dict[str, VariantSpec] = {}
+#: The variant catalogue, in registration order.
+VARIANTS: Registry[VariantSpec] = Registry("variant")
 
 
 def register_variant(
@@ -122,9 +125,7 @@ def register_variant(
     """
 
     def decorator(solver: VariantSolver) -> VariantSolver:
-        if name in _REGISTRY:
-            raise ValueError(f"variant {name!r} is already registered")
-        _REGISTRY[name] = VariantSpec(
+        VARIANTS.add(name, VariantSpec(
             name=name,
             solver=solver,
             display_name=display_name,
@@ -137,30 +138,10 @@ def register_variant(
             requires_undirected=requires_undirected,
             randomized=randomized,
             rounds_note=rounds_note,
-        )
+        ))
         return solver
 
     return decorator
-
-
-def get_variant(name: str) -> VariantSpec:
-    """Look up one registered variant; ``ValueError`` on unknown names."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown variant {name!r}; registered: {', '.join(_REGISTRY)}"
-        ) from None
-
-
-def variant_names() -> Tuple[str, ...]:
-    """All registered variant names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def iter_variants() -> Iterator[VariantSpec]:
-    """Iterate the registered specs in registration order."""
-    return iter(tuple(_REGISTRY.values()))
 
 
 def run_variant(
@@ -184,7 +165,7 @@ def run_variant(
     run e.g. the tradeoff variant without naming its ``t``.  Direct calls
     keep the strict contract and must pass required parameters.
     """
-    spec = get_variant(name)
+    spec = VARIANTS.get(name)
     if apply_defaults:
         merged = dict(spec.default_params)
         merged.update({k: v for k, v in params.items() if v is not None})
@@ -368,10 +349,8 @@ def _solve_large_bandwidth(
 
 
 __all__ = [
+    "VARIANTS",
     "VariantSpec",
-    "get_variant",
-    "iter_variants",
     "register_variant",
     "run_variant",
-    "variant_names",
 ]

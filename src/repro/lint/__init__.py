@@ -7,8 +7,8 @@ blocking under locks and no unlocked shared-state mutation
 buffer threading on hot paths (allocation hygiene), and complete
 registry/benchmark metadata (contracts).
 
-Rule families register themselves on import, mirroring
-:mod:`repro.core.registry`: importing this package populates the rule
+Rule families register themselves on import, like the variant
+catalogue: importing this package populates :data:`RULES`, the rule
 catalogue that :func:`lint_tree`, the CLI, and the CI gate enumerate.
 
 Suppress a reviewed exception with ``# lint: allow[rule-id]`` on the
@@ -22,15 +22,13 @@ from .framework import (
     Finding,
     LintContext,
     LintReport,
+    RULES,
     RuleSpec,
-    get_rule,
     iter_python_files,
-    iter_rules,
     lint_file,
     lint_source,
     lint_tree,
     register_rule,
-    rule_names,
 )
 from .reporting import (
     render_findings,
@@ -52,10 +50,9 @@ __all__ = [
     "Finding",
     "LintContext",
     "LintReport",
+    "RULES",
     "RuleSpec",
-    "get_rule",
     "iter_python_files",
-    "iter_rules",
     "lint_file",
     "lint_source",
     "lint_tree",
@@ -63,6 +60,5 @@ __all__ = [
     "render_findings",
     "render_report",
     "render_rule_listing",
-    "rule_names",
     "write_json_report",
 ]

@@ -10,10 +10,10 @@ stampede is the canonical case) are machine-checked here:
   single-flight build in ``OracleStore.get_or_build`` shows the correct
   shape: park the event *outside* the critical section.
 * ``conc-global-mutation`` — mutating module-level mutable state from
-  inside a function without holding a lock.  Registries mutated at
-  import time by ``register_*`` decorators are exempt (imports are
-  effectively single-threaded); everything else must take a lock or
-  move the state into an object that owns one.
+  inside a function without holding a lock.  No function name is
+  exempt: such state must take a lock or move into an object that owns
+  it (the catalogues are :class:`~repro.registry.Registry` instances,
+  filled through their own methods).
 """
 
 from __future__ import annotations
@@ -133,15 +133,6 @@ def _module_mutable_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-def _inside_registration(ctx: LintContext, node: ast.AST) -> bool:
-    """Whether ``node`` lives under a ``register_*`` decorator factory."""
-    for ancestor in ctx.ancestors(node):
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if ancestor.name.startswith(("register", "_register")):
-                return True
-    return False
-
-
 def _inside_lock(ctx: LintContext, node: ast.AST) -> bool:
     for ancestor in ctx.ancestors(node):
         if isinstance(ancestor, (ast.With, ast.AsyncWith)) and any(
@@ -163,7 +154,7 @@ def check_global_mutation(ctx: LintContext) -> List[Finding]:
     findings: List[Finding] = []
 
     def flag(node: ast.AST, name: str, how: str) -> None:
-        if _inside_registration(ctx, node) or _inside_lock(ctx, node):
+        if _inside_lock(ctx, node):
             return
         if not any(
             isinstance(a, (ast.FunctionDef, ast.AsyncFunctionDef))

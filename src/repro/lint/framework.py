@@ -8,10 +8,11 @@ turns those conventions into machine-checked rules:
 
 * :class:`Finding` — one structured violation (file, line, rule id,
   message, severity);
-* :class:`RuleSpec` + :func:`register_rule` — the rule registry,
-  mirroring :mod:`repro.core.registry`: a rule registers once and every
-  consumer (the ``repro lint`` CLI, the CI gate, the test corpus)
-  enumerates the same catalogue;
+* :class:`RuleSpec` + :func:`register_rule` — the rule catalogue
+  :data:`RULES`, a :class:`~repro.registry.Registry` like the variant
+  catalogue: a rule registers once and every consumer (the ``repro
+  lint`` CLI, the CI gate, the test corpus) enumerates the same
+  catalogue;
 * :class:`LintContext` — one parsed file (parent-annotated AST, source
   lines, pragma table) handed to every applicable rule;
 * :func:`lint_file` / :func:`lint_tree` — the drivers.
@@ -43,6 +44,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+from ..registry import Registry
 
 #: Severities a rule may assign.  ``error`` findings gate CI; the plane
 #: currently has no advisory tier, but the field keeps the report shape
@@ -175,7 +178,8 @@ class RuleSpec:
         return not any(rel_path.startswith(prefix) for prefix in self.exclude)
 
 
-_RULES: Dict[str, RuleSpec] = {}
+#: The rule catalogue, in registration order.
+RULES: Registry[RuleSpec] = Registry("rule")
 
 
 def register_rule(
@@ -196,9 +200,7 @@ def register_rule(
         raise ValueError(f"severity must be one of {SEVERITIES}")
 
     def decorator(checker: RuleChecker) -> RuleChecker:
-        if rule_id in _RULES:
-            raise ValueError(f"rule {rule_id!r} is already registered")
-        _RULES[rule_id] = RuleSpec(
+        RULES.add(rule_id, RuleSpec(
             rule_id=rule_id,
             checker=checker,
             family=family,
@@ -206,28 +208,10 @@ def register_rule(
             include=tuple(include),
             exclude=tuple(exclude),
             severity=severity,
-        )
+        ))
         return checker
 
     return decorator
-
-
-def get_rule(rule_id: str) -> RuleSpec:
-    try:
-        return _RULES[rule_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown rule {rule_id!r}; registered: {', '.join(_RULES)}"
-        ) from None
-
-
-def rule_names() -> Tuple[str, ...]:
-    """All registered rule ids, in registration order."""
-    return tuple(_RULES)
-
-
-def iter_rules() -> Iterator[RuleSpec]:
-    return iter(tuple(_RULES.values()))
 
 
 # --------------------------------------------------------------------- #
@@ -325,7 +309,7 @@ class LintReport:
                     "summary": spec.summary,
                     "severity": spec.severity,
                 }
-                for spec in iter_rules()
+                for spec in RULES
             ],
         }
 
@@ -343,7 +327,7 @@ def lint_source(
     without the fixtures living inside the package.
     """
     ctx = LintContext(rel_path, source, root=root)
-    selected = list(rules) if rules is not None else list(iter_rules())
+    selected = list(rules) if rules is not None else list(RULES)
     findings: List[Finding] = []
     for spec in selected:
         if not spec.applies_to(ctx.rel_path):
@@ -413,20 +397,18 @@ __all__ = [
     "Finding",
     "LintContext",
     "LintReport",
+    "RULES",
     "RuleChecker",
     "RuleSpec",
     "call_name",
     "dotted_name",
     "enclosing_function",
     "get_keyword",
-    "get_rule",
     "in_loop",
     "iter_python_files",
-    "iter_rules",
     "keyword_names",
     "lint_file",
     "lint_source",
     "lint_tree",
     "register_rule",
-    "rule_names",
 ]

@@ -12,7 +12,7 @@ import json
 from collections import Counter
 from typing import List
 
-from .framework import Finding, LintReport, iter_rules
+from .framework import RULES, Finding, LintReport
 
 
 def render_findings(findings: List[Finding]) -> str:
@@ -39,7 +39,7 @@ def render_report(report: LintReport) -> str:
     else:
         lines.append(
             f"clean: {report.files_scanned} files, "
-            f"{len(tuple(iter_rules()))} rules, 0 findings"
+            f"{len(RULES.names())} rules, 0 findings"
         )
     return "\n".join(lines)
 
@@ -48,7 +48,7 @@ def render_rule_listing() -> str:
     """The ``--list-rules`` catalogue, grouped by family."""
     lines: List[str] = []
     current_family = None
-    for spec in iter_rules():
+    for spec in RULES:
         if spec.family != current_family:
             current_family = spec.family
             lines.append(f"[{spec.family}]")

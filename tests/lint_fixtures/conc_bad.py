@@ -29,3 +29,9 @@ def unguarded_cache_write(key, value):
 
 def unguarded_cache_update(entries):
     _CACHE.update(entries)  # conc-global-mutation
+
+
+def register_entry(key, value):
+    # A register_* name earns no exemption: this is still an unlocked
+    # write to module state.
+    _CACHE[key] = value  # conc-global-mutation

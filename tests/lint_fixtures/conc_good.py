@@ -17,9 +17,3 @@ def single_flight(executor, task, event: threading.Event):
 def guarded_cache_write(key, value):
     with _lock:
         _CACHE[key] = value
-
-
-def register_entry(key, value):
-    # Import-time registration (the register_* decorator pattern) is
-    # exempt: imports are effectively single-threaded.
-    _CACHE[key] = value

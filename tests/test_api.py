@@ -21,7 +21,7 @@ import pytest
 from repro import approximate_apsp, erdos_renyi
 from repro.api import ApspResult, ApspSolver, SolverConfig
 from repro.core import registry
-from repro.core.registry import get_variant, iter_variants, run_variant, variant_names
+from repro.core.registry import VARIANTS, run_variant
 from repro.graphs import check_estimate, exact_apsp
 
 from tests.helpers import make_rng
@@ -43,11 +43,11 @@ def small_er(seed: int = 7, n: int = 48):
 
 class TestRegistry:
     def test_builtins_registered_in_order(self):
-        assert variant_names() == BUILTINS
+        assert VARIANTS.names() == BUILTINS
 
     def test_get_variant_unknown(self):
         with pytest.raises(ValueError, match="unknown variant"):
-            get_variant("bogus")
+            VARIANTS.get("bogus")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -59,7 +59,7 @@ class TestRegistry:
             )(lambda graph, rng, ledger, **p: None)
 
     def test_specs_carry_metadata(self):
-        for spec in iter_variants():
+        for spec in VARIANTS:
             assert spec.display_name
             assert spec.summary
             assert spec.factor_formula
@@ -69,7 +69,7 @@ class TestRegistry:
         """Each registered variant solves a small ER graph soundly and
         within its declared factor bound (or its reported factor when the
         bound is instance-dependent)."""
-        spec = get_variant(name)
+        spec = VARIANTS.get(name)
         graph = small_er()
         exact = exact_apsp(graph)
         result = run_variant(
@@ -122,11 +122,22 @@ class TestSolverConfig:
             {"variant": "tradeoff"},  # missing t
             {"bandwidth_words": 0},
             {"validation": "sometimes"},
+            {"variant": "uy90", "extra_params": {"hop_paramter": 8}},  # typo
+            {"extra_params": {"hop_parameter": 8}},  # not a theorem11 param
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_extra_params_checked_against_variant(self):
+        config = SolverConfig(variant="uy90", extra_params={"hop_parameter": 8})
+        assert config.params()["hop_parameter"] == 8
+        with pytest.raises(ValueError, match="does not accept hop_paramter; "
+                           "accepted: hop_parameter, oversample"):
+            SolverConfig.from_dict(
+                {"variant": "uy90", "extra_params": {"hop_paramter": 2}}
+            )
 
     def test_rng_streams_are_deterministic_and_distinct(self):
         config = SolverConfig(seed=5)

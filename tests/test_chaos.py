@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from repro.chaos import (
+    SCENARIOS,
     ChaosReport,
     RunMetrics,
     delivery_rate,
-    get_scenario,
     recovery_score,
     register_scenario,
     run_scenario,
-    scenario_names,
     stretch_degradation,
 )
 from repro.chaos.registry import ScenarioSpec
@@ -31,13 +30,13 @@ BUILTIN_SCENARIOS = (
 
 class TestRegistry:
     def test_builtin_scenarios_registered(self):
-        names = scenario_names()
+        names = SCENARIOS.names()
         for name in BUILTIN_SCENARIOS:
             assert name in names
 
     def test_unknown_scenario_raises_with_listing(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            get_scenario("no-such-scenario")
+            SCENARIOS.get("no-such-scenario")
 
     def test_duplicate_registration_raises(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -49,17 +48,17 @@ class TestRegistry:
                 return ChaosReport()
 
     def test_unknown_param_raises(self):
-        spec = get_scenario("route-drop")
+        spec = SCENARIOS.get("route-drop")
         with pytest.raises(ValueError, match="does not accept"):
             spec.resolve_params(no_such_knob=1)
 
     def test_none_params_fall_back_to_defaults(self):
-        spec = get_scenario("route-drop")
+        spec = SCENARIOS.get("route-drop")
         resolved = spec.resolve_params(drop=None)
         assert resolved["drop"] == spec.default_params["drop"]
 
     def test_specs_are_frozen(self):
-        spec = get_scenario("route-drop")
+        spec = SCENARIOS.get("route-drop")
         assert isinstance(spec, ScenarioSpec)
         with pytest.raises(AttributeError):
             spec.name = "other"

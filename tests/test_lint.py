@@ -10,7 +10,7 @@ Three layers:
   and injecting a violation into a copy of a real module must flip both
   the driver and the CLI to failure.
 * **framework** — pragmas, rule scoping, report JSON round-trip, and
-  the registry's mirror-of-``core.registry`` contract.
+  the rule catalogue (a shared ``repro.registry.Registry``).
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ import sys
 
 import pytest
 
-from repro.lint import (
-    get_rule,
-    iter_rules,
-    lint_source,
-    lint_tree,
-    rule_names,
-)
+from repro.lint import RULES, lint_source, lint_tree
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO_ROOT, "tests", "lint_fixtures")
@@ -51,14 +45,14 @@ def lint_fixture(name: str, virtual_path: str):
 
 class TestRuleRegistry:
     def test_five_families_registered(self):
-        families = {spec.family for spec in iter_rules()}
+        families = {spec.family for spec in RULES}
         assert families == {
             "determinism", "concurrency", "json-safety", "allocation",
             "registry",
         }
 
     def test_expected_rules(self):
-        assert set(rule_names()) == {
+        assert set(RULES.names()) == {
             "det-unseeded-rng", "det-global-random-state",
             "det-stdlib-random", "det-wallclock",
             "conc-blocking-in-lock", "conc-global-mutation",
@@ -69,14 +63,14 @@ class TestRuleRegistry:
 
     def test_get_rule_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown rule"):
-            get_rule("no-such-rule")
+            RULES.get("no-such-rule")
 
     def test_scoping(self):
-        wallclock = get_rule("det-wallclock")
+        wallclock = RULES.get("det-wallclock")
         assert wallclock.applies_to("src/repro/core/apsp.py")
         assert not wallclock.applies_to("src/repro/serve/service.py")
         assert not wallclock.applies_to("benchmarks/bench_query.py")
-        bench = get_rule("reg-bench-tag")
+        bench = RULES.get("reg-bench-tag")
         assert bench.applies_to("benchmarks/bench_query.py")
         assert not bench.applies_to("benchmarks/run_smoke.py")
 
@@ -148,6 +142,7 @@ class TestConcurrencyFixtures:
             "conc-blocking-in-lock", "conc-blocking-in-lock",
             "conc-blocking-in-lock",
             "conc-global-mutation", "conc-global-mutation",
+            "conc-global-mutation",
         ]
 
     def test_good_corpus(self):
@@ -250,7 +245,7 @@ class TestLiveTree:
         assert payload["tool"] == "repro-lint"
         assert payload["findings"] == []
         assert payload["files_scanned"] > 100
-        assert {r["rule"] for r in payload["rules"]} == set(rule_names())
+        assert {r["rule"] for r in payload["rules"]} == set(RULES.names())
         # Strict JSON round-trip (the artifact is itself a snapshot).
         assert json.loads(json.dumps(payload)) == payload
 
