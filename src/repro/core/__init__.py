@@ -6,7 +6,9 @@ from .factor_reduction import reduce_approximation, solve_skeleton_apsp
 from .hopsets import HopsetResult, build_knearest_hopset
 from .knearest import (
     BinPlan,
+    KNearestInexact,
     KNearestResult,
+    knearest_exact,
     knearest_exact_via_hopset,
     knearest_iterated,
     knearest_one_round,
@@ -51,6 +53,7 @@ __all__ = [
     "BinPlan",
     "Estimate",
     "HopsetResult",
+    "KNearestInexact",
     "KNearestResult",
     "ReductionPlan",
     "ScalingPlan",
@@ -74,6 +77,7 @@ __all__ = [
     "exact_apsp_baseline",
     "exact_fallback",
     "extend_estimate",
+    "knearest_exact",
     "knearest_exact_via_hopset",
     "knearest_iterated",
     "knearest_one_round",

@@ -5,7 +5,8 @@ standard model:
 
 1. compute exact distances to the ``k = log^4 n`` nearest nodes on ``G``
    itself (Lemma 5.2 — a shortest path to a k-nearest node has at most
-   ``k`` hops, so no hopset is required);
+   ``k`` hops, so no hopset is required; the output is computed by the
+   equivalent exact ball growth :func:`knearest_exact`);
 2. build a skeleton graph ``G_S`` with ``O(n / log^3 n)`` nodes
    (Lemma 3.4);
 3. simulate the Theorem 8.1 algorithm on ``G_S``: because ``G_S`` is a
@@ -29,7 +30,7 @@ from ..cclique.accounting import RoundLedger
 from ..graphs.graph import WeightedGraph
 from . import params
 from .factor_reduction import _phase
-from .knearest import knearest_iterated
+from .knearest import knearest_exact
 from .large_bandwidth import apsp_large_bandwidth
 from .results import Estimate
 from .skeleton import build_skeleton, extend_estimate
@@ -87,7 +88,7 @@ def apsp_theorem11(
     k0 = params.theorem11_k0(n)
     h0, i0 = params.choose_hop_schedule(n, k0)
     with _phase(ledger, "thm1.1/k-nearest"):
-        knn = knearest_iterated(graph.matrix(), k0, h0, i0, ledger=ledger)
+        knn = knearest_exact(graph, k0, h0, i0, ledger=ledger)
 
     # Step 2: skeleton reduction.
     with _phase(ledger, "thm1.1/skeleton"):

@@ -20,6 +20,11 @@ Executable content:
   filter reads a dense matrix.  :func:`knearest_iterated_reference`,
   built on the dense Bellman–Ford of ``hop_power_row_sparse``, is the
   differential-testing target;
+* where Lemma 5.2's output is the exact k nearest (positive weights,
+  ``h^i >= k``: Theorem 1.1's first stage), :func:`knearest_exact`
+  computes it by growing each row's ball from the graph's CSR, with the
+  same round charges; :func:`knearest_iterated` keeps the hop merge for
+  ``G ∪ H`` (Lemma 3.3);
 * the *communication structure* — bins, h-combinations, and their counting
   claims (``h * C(p, h) <= n``, bin assignments, the set ``S`` of queried
   nodes) — is implemented in :class:`BinPlan` and validated in tests;
@@ -39,11 +44,16 @@ import numpy as np
 
 from ..cclique.accounting import RoundLedger
 from ..cclique.errors import LoadPreconditionError
+from ..graphs.adjacency import CSRAdjacency
+from ..graphs.graph import WeightedGraph
 from ..semiring.minplus import (
+    INF,
     RowSparse,
+    _k_smallest_of_candidates,
     filtered_hop_power,
     hop_merge_row_sparse,
     k_smallest_in_rows,
+    memory_budget_from_env,
     row_sparse_from_dense,
 )
 from . import params
@@ -216,13 +226,19 @@ def _checked_input(
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("matrix must be square")
-    if validate and not params.knearest_feasible(n, k, h):
+    if validate:
+        _check_load(n, k, h)
+    return matrix
+
+
+def _check_load(n: int, k: int, h: int) -> None:
+    """Lemma 5.1's load precondition ``k in O(n^{1/h})``."""
+    if not params.knearest_feasible(n, k, h):
         raise LoadPreconditionError(
             f"k = {k} exceeds O(n^(1/h)) = "
             f"{params.KNEAREST_LOAD_CONSTANT} * {n ** (1.0 / h):.2f} "
             f"for h = {h} (Lemma 5.1 precondition)"
         )
-    return matrix
 
 
 def _knearest_round(
@@ -296,6 +312,178 @@ def knearest_iterated_reference(
     return KNearestResult(
         indices=indices, values=values, k=k, h=h, iterations=iterations
     )
+
+
+class KNearestInexact(ValueError):
+    """Lemma 5.2's output need not be the exact k nearest for these inputs.
+
+    Raised by :func:`knearest_exact` when ``h^i < k`` or an edge weight is
+    not positive: the ``h^i``-hop k nearest may then differ from the exact
+    ones, so growing exact balls would not reproduce Lemma 5.2's output.
+    """
+
+
+#: Bytes of temporaries one :func:`_grow_rows` call holds at its peak,
+#: per candidate offer and per re-selected old entry: the merge keeps
+#: about 15 eight-byte arrays of that length alive at once, plus its
+#: ``(rows, width)`` layout.  Measured with ``tracemalloc`` on Theorem
+#: 1.1 inputs at n = 2048, 4096 and 8192, the ratio stays at 66-173 on
+#: the large blocks, and under the 32 MiB default budget the peak stays
+#: at or below 34 MiB.
+_BYTES_PER_OFFER = 160
+
+
+def knearest_exact(
+    graph: WeightedGraph,
+    k: int,
+    h: int,
+    iterations: int,
+    ledger: Optional[RoundLedger] = None,
+) -> KNearestResult:
+    """Lemma 5.2's output where it is exact, grown from ``graph``'s CSR.
+
+    With positive weights, the k nearest nodes of ``u`` in ``(distance,
+    ID)`` order are closed under shortest-path predecessors: a node on a
+    shortest path to ``v`` lies strictly closer than ``v``, so it precedes
+    ``v`` whatever the IDs.  A shortest path to a k-nearest node thus has
+    fewer than ``k`` hops, and when ``h^i >= k`` the ``h^i``-hop rows of
+    :func:`knearest_iterated` are the exact k nearest.  The same closure
+    lets each row grow its own ball edge by edge: a per-source Dijkstra
+    stopped after k settled nodes, run for all sources at once in rounds.
+
+    Every row starts at ``[(0, u)]``.  An entry is *pending* from the
+    round it enters or is lowered until it is expanded, into
+    ``T[u][y] + w(y, v)`` over the first ``k - 1`` entries of ``y``'s
+    CSR row, its lightest edges in ``(weight, ID)`` order.  No other edge
+    lies on a shortest path to a k-nearest ``v``: ``y`` and ``k - 1``
+    lighter neighbours would all precede ``v`` (Lemma 5.5's filter), so
+    a step costs at most ``k - 1`` candidates whatever the degree.  Each
+    round, every row expands its ``max(4, k // 6)`` smallest pending
+    entries: the smallest are the likeliest to be final, so fewer
+    expansions are redone after a lowering (DESIGN.md §7 measures this
+    against expanding every pending entry).
+    A candidate is dropped unless it precedes the row's current k-th
+    ``(value, ID)`` entry: a row only improves, so nothing at or after
+    that entry can enter, and a pending entry pushed out of its row needs
+    no expansion.  The rows with survivors keep their k smallest
+    ``(value, ID)`` pairs of old entries and candidates.  The loop stops
+    when nothing is pending.  Candidates are generated in row blocks
+    under the :func:`memory_budget_from_env` budget; no ``(n, n)`` array
+    is built.
+
+    The ledger is charged what :func:`knearest_iterated` charges,
+    ``iterations`` Lemma 5.1 executions: the local computation differs,
+    the communication does not.  Raises :class:`LoadPreconditionError`
+    as it does, and :class:`KNearestInexact` when ``h^iterations < k`` or
+    an edge weight is not positive.
+    """
+    if k < 1 or h < 1 or iterations < 1:
+        raise ValueError("need k, h, iterations >= 1")
+    n = graph.n
+    _check_load(n, k, h)
+    if h**iterations < k:
+        raise KNearestInexact(
+            f"h^i = {h}^{iterations} < k = {k}: the h^i-hop k nearest need "
+            f"not be exact"
+        )
+    if graph.num_edges and graph.edge_w.min() <= 0:
+        raise KNearestInexact(
+            "edge weights must be positive: with zero weights the k nearest "
+            "are not closed under shortest-path predecessors"
+        )
+    if ledger is not None:
+        plan = make_bin_plan(n, k, h)
+        for _ in range(iterations):
+            _charge_one_iteration(ledger, n, k, h, plan)
+    csr = graph.csr()
+    # Lemma 5.5's filter: a node's first k - 1 CSR entries are all it needs.
+    degree = np.minimum(csr.degrees, k - 1)
+    per_round = max(4, k // 6)
+    budget = memory_budget_from_env()
+    indices = np.full((n, k), -1, dtype=np.int64)
+    values = np.full((n, k), INF)
+    indices[:, 0] = np.arange(n)
+    values[:, 0] = 0.0
+    pending = np.zeros((n, k), dtype=bool)
+    pending[:, 0] = True
+    active = np.arange(n)
+    while active.size:
+        waiting = pending[active]
+        expand = waiting & (np.cumsum(waiting, axis=1) <= per_round)
+        waiting &= ~expand
+        offers = np.where(expand, degree[indices[active]], 0).sum(axis=1)
+        ends = np.cumsum(_BYTES_PER_OFFER * (offers + k))
+        pending = np.zeros_like(pending)
+        start = 0
+        while start < active.size:
+            base = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, base + budget, "right")))
+            block = slice(start, stop)
+            _grow_rows(
+                csr, degree, indices, values, pending,
+                active[block], expand[block], waiting[block],
+            )
+            start = stop
+        active = np.flatnonzero(pending.any(axis=1))
+    return KNearestResult(
+        indices=indices, values=values, k=k, h=h, iterations=iterations
+    )
+
+
+def _grow_rows(
+    csr: CSRAdjacency,
+    degree: np.ndarray,
+    indices: np.ndarray,
+    values: np.ndarray,
+    pending: np.ndarray,
+    rows: np.ndarray,
+    expand: np.ndarray,
+    waiting: np.ndarray,
+) -> None:
+    """One :func:`knearest_exact` round on ``rows``, in place.
+
+    ``expand`` and ``waiting`` mark, per row of ``rows``, the pending
+    entries expanded now and those left for later; ``pending`` receives
+    the rows' entries that are pending after the round.  A node is
+    expanded into the first ``degree[y]`` entries of its CSR row.
+    """
+    n, k = indices.shape
+    owner, slot = np.nonzero(expand)
+    source = rows[owner]
+    via = indices[source, slot]
+    deg = degree[via]
+    pos = np.arange(int(deg.sum())) + np.repeat(
+        csr.indptr[via] - (np.cumsum(deg) - deg), deg
+    )
+    owner = np.repeat(owner, deg)
+    col = csr.indices[pos]
+    cand = np.repeat(values[source, slot], deg) + csr.weights[pos]
+    kth_val = values[rows, k - 1][owner]
+    kth_id = indices[rows, k - 1][owner]
+    keep = (cand < kth_val) | ((cand == kth_val) & (col < kth_id))
+    owner, col, cand = owner[keep], col[keep], cand[keep]
+    hit = np.bincount(owner, minlength=rows.size) > 0
+    pending[rows[~hit]] = waiting[~hit]
+    if not hit.any():
+        return
+    touched = rows[hit]
+    old_idx, old_val = indices[touched], values[touched]
+    at, entry = np.nonzero(old_idx >= 0)
+    old = old_val[at, entry]
+    # An old entry's own value counts as held once it is expanded; a
+    # waiting entry holds nothing, so it stays pending wherever it lands.
+    held = np.where(waiting[hit][at, entry], INF, old)
+    new_idx, new_val, below = _k_smallest_of_candidates(
+        np.concatenate([at, (np.cumsum(hit) - 1)[owner]]),
+        np.concatenate([old_idx[at, entry], col]),
+        np.concatenate([old, cand]),
+        touched.size, n, k,
+        held=np.concatenate([held, np.full(cand.size, INF)]),
+    )
+    assert below is not None
+    pending[touched] = below
+    indices[touched] = new_idx
+    values[touched] = new_val
 
 
 def knearest_exact_via_hopset(

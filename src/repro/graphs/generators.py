@@ -98,14 +98,40 @@ def erdos_renyi(
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     weights = weights or uniform_weights()
-    rows, cols = np.triu_indices(n, k=1)
-    mask = rng.random(len(rows)) < p
-    pairs = list(zip(rows[mask].tolist(), cols[mask].tolist()))
+    u, v = _bernoulli_pairs(n, p, rng)
     if connected:
-        pairs.extend(_random_spanning_tree_edges(n, rng))
-    w = weights(rng, len(pairs))
-    edges = [(u, v, float(wt)) for (u, v), wt in zip(pairs, w)]
-    return WeightedGraph(n, edges)
+        tree = np.asarray(_random_spanning_tree_edges(n, rng), dtype=np.int64)
+        tree = tree.reshape(-1, 2)
+        u, v = np.concatenate([u, tree[:, 0]]), np.concatenate([v, tree[:, 1]])
+    w = np.asarray(weights(rng, len(u)), dtype=np.float64)
+    return WeightedGraph.from_arrays(n, u, v, w)
+
+
+def _bernoulli_pairs(
+    n: int, p: float, rng: np.random.Generator, block: int = 1 << 20
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs ``u < v`` kept with probability ``p``, in row-major order.
+
+    One uniform per pair, drawn in row blocks of about ``block`` pairs:
+    the same draws, in the same order, as one bulk ``rng.random`` over
+    ``np.triu_indices(n, 1)``, and the generator ends in the same state,
+    but memory stays ``O(block + edges)`` rather than ``O(n²)``.
+    """
+    length = np.arange(n - 1, 0, -1, dtype=np.int64)  # pairs in row r
+    ends = np.cumsum(length)
+    us = [np.zeros(0, dtype=np.int64)]
+    vs = [np.zeros(0, dtype=np.int64)]
+    start = 0
+    while start < n - 1:
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + block, "right")))
+        hits = np.flatnonzero(rng.random(int(ends[stop - 1]) - base) < p)
+        row = start + np.searchsorted(ends[start:stop] - base, hits, "right")
+        first = ends[row] - length[row] - base  # row's first draw in the block
+        us.append(row)
+        vs.append(row + 1 + hits - first)
+        start = stop
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def grid_graph(

@@ -19,7 +19,7 @@ in :mod:`repro.semiring.kernels` and are re-exported here for back-compat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -156,7 +156,7 @@ class RowSparse:
         node = np.arange(n)
         keep = (self.indices >= 0) & (self.indices != node[:, None])
         rows, slots = np.nonzero(keep)
-        indices, values = _k_smallest_of_candidates(
+        indices, values, _ = _k_smallest_of_candidates(
             np.concatenate([rows, node]),
             np.concatenate([self.indices[rows, slots], node]),
             np.concatenate([self.values[rows, slots], np.zeros(n)]),
@@ -172,7 +172,8 @@ def _k_smallest_of_candidates(
     n_rows: int,
     n_cols: int,
     k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
+    held: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Row-local k smallest over flat ``(row, col, value)`` candidates.
 
     A column offered several times keeps its minimum value; then each
@@ -181,6 +182,10 @@ def _k_smallest_of_candidates(
     finite.  One integer sort groups the candidates by ``(row, col)``;
     the selection itself runs row-locally on an ``(n_rows, widest row)``
     layout whose column order is ID order.
+
+    ``held``, when given, holds one value per candidate; the third result
+    then flags the kept entries whose value lies below the minimum
+    ``held`` of their ``(row, col)`` (it is ``None`` otherwise).
     """
     key = rows * n_cols + cols
     order = np.argsort(key)
@@ -200,8 +205,15 @@ def _k_smallest_of_candidates(
     by_slot[rows, slot] = best
     col_of_slot[rows, slot] = key - rows * n_cols
     slots, kept = k_smallest_in_rows(by_slot, k)
-    picked = np.take_along_axis(col_of_slot, np.maximum(slots, 0), axis=1)
-    return np.where(slots >= 0, picked, -1), kept
+    at = np.maximum(slots, 0)
+    picked = np.take_along_axis(col_of_slot, at, axis=1)
+    below = None
+    if held is not None:
+        below_slot = np.zeros((n_rows, width), dtype=bool)
+        if starts.size:
+            below_slot[rows, slot] = best < np.minimum.reduceat(held[order], starts)
+        below = np.take_along_axis(below_slot, at, axis=1) & (slots >= 0)
+    return np.where(slots >= 0, picked, -1), kept, below
 
 
 def row_sparse_from_dense(matrix: np.ndarray, k: int) -> RowSparse:
@@ -269,7 +281,7 @@ def hop_merge_row_sparse(sparse: RowSparse, hops: int) -> RowSparse:
             sums = wgt[rows, :, None] + val[through]
             flat = np.flatnonzero(sums <= tau[rows])
             via, slot = np.divmod(flat, k)
-            new_idx[rows], new_val[rows] = _k_smallest_of_candidates(
+            new_idx[rows], new_val[rows], _ = _k_smallest_of_candidates(
                 flat // width,
                 idx[through.ravel()[via], slot],
                 sums.ravel()[flat],

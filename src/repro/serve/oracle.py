@@ -51,7 +51,8 @@ ORACLE_VERSION = 1
 
 
 class ArtifactIntegrityError(ValueError):
-    """A loaded oracle payload breaks the forwarding-table invariants."""
+    """An oracle payload or source estimate breaks the artifact's
+    invariants: its forwarding table or its distances."""
 
 
 def _check_forwarding(next_hop: np.ndarray, hop_weight: np.ndarray) -> None:
@@ -75,6 +76,30 @@ def _check_forwarding(next_hop: np.ndarray, hop_weight: np.ndarray) -> None:
             f"hop_weight[{u}, {t}] = {float(hop_weight[u, t])} disagrees with "
             f"next_hop[{u}, {t}] = {int(next_hop[u, t])}: weights must be "
             f"finite exactly on live hops ({len(mismatch)} bad entries)"
+        )
+
+
+def _check_estimate(estimate: np.ndarray) -> None:
+    """Reject an estimate no graph has: a negative or NaN entry, or a
+    nonzero diagonal.  ``inf`` stays legal (unreachable pairs).  Scans in
+    row blocks, so a memmap-backed estimate is never read whole."""
+    n = estimate.shape[0]
+    step = max(1, (1 << 22) // max(n, 1))
+    for start in range(0, n, step):
+        block = np.asarray(estimate[start:start + step])
+        bad = np.argwhere(np.isnan(block) | (block < 0))
+        if bad.size:
+            u, v = int(bad[0][0]), int(bad[0][1])
+            raise ArtifactIntegrityError(
+                f"estimate[{start + u}, {v}] = {float(block[u, v])} is not a "
+                f"distance: entries must be >= 0 and not NaN"
+            )
+    off = np.flatnonzero(np.diagonal(estimate) != 0)
+    if off.size:
+        u = int(off[0])
+        raise ArtifactIntegrityError(
+            f"estimate[{u}, {u}] = {float(estimate[u, u])}: the diagonal must "
+            f"be 0 ({off.size} bad entries)"
         )
 
 
@@ -147,6 +172,10 @@ class DistanceOracle:
         ``source`` estimate is adopted as-is instead of being copied to
         a dense float64 array — the out-of-core build path for
         ``n >= 4096``.
+
+        Raises :class:`ArtifactIntegrityError` when the estimate holds a
+        negative or NaN entry or a nonzero diagonal, which
+        :meth:`from_dict` would refuse to load.
         """
         if isinstance(source, Estimate):
             raw = np.asarray(source.estimate)
@@ -157,6 +186,7 @@ class DistanceOracle:
             raise ValueError(
                 f"estimate must be ({n}, {n}); got {raw.shape}"
             )
+        _check_estimate(raw)
         if raw.dtype == np.float32 or _memmap_backed(raw):
             # Out-of-core policy: adopt without densifying to float64 —
             # copying would defeat the point of the compact estimate.
@@ -364,7 +394,10 @@ class DistanceOracle:
         """Decode a :meth:`to_dict` payload.
 
         Raises :class:`ArtifactIntegrityError` when the forwarding table
-        could route off the node range or along a hop of unknown weight.
+        could route off the node range or along a hop of unknown weight,
+        or when the estimate holds a negative or NaN entry or a nonzero
+        diagonal.  The checks run here, once per load, and never on the
+        query path.
         """
         if data.get("format") != ORACLE_FORMAT:
             raise ValueError(
@@ -389,6 +422,7 @@ class DistanceOracle:
             meta=dict(data.get("meta") or {}),
         )
         _check_forwarding(oracle.next_hop, oracle.hop_weight)
+        _check_estimate(oracle.estimate)
         return oracle
 
     def to_json(self, matrix_encoding: str = "b64", **dumps_kwargs: Any) -> str:

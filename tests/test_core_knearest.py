@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from repro.cclique import LoadPreconditionError, RoundLedger
 from repro.core import (
+    KNearestInexact,
+    apsp_theorem11,
     build_knearest_hopset,
+    knearest_exact,
     knearest_exact_via_hopset,
     knearest_iterated,
     knearest_one_round,
@@ -19,7 +22,16 @@ from repro.core import (
     params,
 )
 from repro.core.knearest import knearest_iterated_reference
-from repro.graphs import clustered_zero_weight_graph, erdos_renyi, exact_apsp
+from repro.graphs import (
+    WeightedGraph,
+    check_estimate,
+    clustered_zero_weight_graph,
+    directed_ring_with_chords,
+    erdos_renyi,
+    exact_apsp,
+    grid_graph,
+    heavy_tail_weights,
+)
 from repro.graphs.generators import uniform_weights, unit_weights
 from repro.semiring import (
     RowSparse,
@@ -288,6 +300,203 @@ class TestRowSparseMatchesDenseReference:
         got = sparse.with_zero_diagonal()
         assert np.array_equal(got.indices, expected.indices)
         assert np.array_equal(got.values, expected.values)
+
+
+def ball_corpus():
+    """``(name, graph)`` inputs for :func:`knearest_exact`'s differential
+    test: generic, dense (every degree above ``k - 1``), geometric,
+    heavy-tailed, tie-heavy, disconnected and directed."""
+    rng = make_rng(21)
+    return [
+        ("er", erdos_renyi(90, 0.05, rng)),
+        ("dense", erdos_renyi(60, 0.5, rng, weights=uniform_weights(1, 5))),
+        ("grid", grid_graph(9, rng, weights=uniform_weights(1, 9))),
+        ("heavy-tail", erdos_renyi(80, 0.06, rng, weights=heavy_tail_weights())),
+        ("ties", erdos_renyi(100, 0.05, rng, weights=uniform_weights(1, 2))),
+        ("unit", erdos_renyi(70, 0.05, rng, weights=unit_weights())),
+        ("disconnected", erdos_renyi(
+            90, 0.012, rng, weights=uniform_weights(1, 2), connected=False
+        )),
+        ("directed", directed_ring_with_chords(60, 40, rng, weights=uniform_weights(1, 3))),
+    ]
+
+
+BALL_CORPUS = ball_corpus()
+
+
+def knearest_exact_unloaded(graph, k, h, i):
+    """:func:`knearest_exact` with Lemma 5.1's load bound lifted.
+
+    The bound governs the round count, not exactness; lifting it lets the
+    differential tests reach small ``n`` and ``k >= n``.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(params, "knearest_feasible", lambda n, k, h: True)
+        return knearest_exact(graph, k, h, i)
+
+
+class TestKNearestExact:
+    """The CSR ball growth against both Lemma 5.2 implementations."""
+
+    #: (k, h, i) with ``h^i >= k``.
+    SCHEDULES = [(1, 2, 1), (4, 2, 2), (7, 3, 2), (16, 2, 4), (12, 4, 2), (5, 5, 1)]
+
+    @pytest.mark.parametrize("name, graph", BALL_CORPUS, ids=[c[0] for c in BALL_CORPUS])
+    def test_matches_both_lemma52_implementations(self, name, graph):
+        matrix = graph.matrix()
+        for k, h, i in self.SCHEDULES:
+            got = knearest_exact_unloaded(graph, k, h, i)
+            assert_identical(got, knearest_iterated_reference(matrix, k, h, i))
+            assert_identical(got, knearest_iterated(matrix, k, h, i, validate=False))
+            assert (got.k, got.h, got.iterations) == (k, h, i)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        density=st.floats(0.0, 0.5),
+        directed=st.booleans(),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_tie_heavy_graphs(self, n, density, directed, k, seed):
+        rng = make_rng(seed)
+        edges = np.argwhere(rng.random((n, n)) < density)
+        graph = WeightedGraph.from_arrays(
+            n, edges[:, 0], edges[:, 1],
+            rng.integers(1, 4, size=len(edges)).astype(float),
+            directed=directed,
+        )
+        h, i = 2, max(1, (k - 1).bit_length())
+        got = knearest_exact_unloaded(graph, k, h, i)
+        assert_identical(got, knearest_iterated_reference(graph.matrix(), k, h, i))
+
+    def test_rows_with_fewer_than_k_reachable_are_padded(self):
+        graph = dict(BALL_CORPUS)["disconnected"]
+        got = knearest_exact_unloaded(graph, 16, 2, 4)
+        short = (got.indices == -1).any(axis=1)
+        assert short.any() and not short.all()
+        assert np.all(np.isinf(got.values[got.indices == -1]))
+        exact = exact_apsp(graph)
+        reachable = np.isfinite(exact).sum(axis=1)
+        assert np.array_equal((got.indices >= 0).sum(axis=1), np.minimum(reachable, 16))
+
+    def test_k_at_least_n(self, rng):
+        graph = erdos_renyi(24, 0.15, rng, weights=uniform_weights(1, 4))
+        for k, h, i in [(24, 5, 2), (40, 7, 2)]:
+            got = knearest_exact_unloaded(graph, k, h, i)
+            assert_identical(got, knearest_iterated_reference(graph.matrix(), k, h, i))
+            assert (got.indices[:, :24] >= 0).all() and (got.indices[:, 24:] == -1).all()
+
+    def test_theorem11_schedule(self):
+        n = 1024
+        graph = erdos_renyi(n, 4 / n, make_rng(7))
+        k = params.theorem11_k0(n)
+        h, i = params.choose_hop_schedule(n, k)
+        assert_identical(
+            knearest_exact(graph, k, h, i), knearest_iterated(graph.matrix(), k, h, i)
+        )
+
+    def test_ledger_matches_knearest_iterated(self):
+        graph = erdos_renyi(256, 4 / 256, make_rng(3))
+        k = params.theorem11_k0(256)
+        h, i = params.choose_hop_schedule(256, k)
+        charged = []
+        for run in (
+            lambda ledger: knearest_exact(graph, k, h, i, ledger=ledger),
+            lambda ledger: knearest_iterated(graph.matrix(), k, h, i, ledger=ledger),
+        ):
+            ledger = RoundLedger(256)
+            run(ledger)
+            charged.append([
+                (e.phase, e.rounds, e.bandwidth_words, e.detail) for e in ledger
+            ])
+        assert charged[0] == charged[1]
+        assert len(charged[0]) == 2 * i  # two Lemma 2.2 routings per iteration
+
+    def test_schedule_below_k_rejected(self, rng):
+        graph = erdos_renyi(40, 0.1, rng)
+        with pytest.raises(KNearestInexact, match=r"2\^2 < k = 5"):
+            knearest_exact_unloaded(graph, 5, 2, 2)
+        assert isinstance(KNearestInexact("x"), ValueError)
+
+    def test_zero_weight_rejected(self, rng):
+        graph = clustered_zero_weight_graph(4, 6, rng)
+        with pytest.raises(KNearestInexact, match="positive"):
+            knearest_exact_unloaded(graph, 4, 2, 2)
+
+    def test_theorem11_on_zero_weights_rejected(self, rng):
+        """``apsp_theorem11`` itself takes a ``require_positive=False``
+        graph; its first stage refuses rather than answer inexactly."""
+        graph = clustered_zero_weight_graph(16, 8, rng)
+        with pytest.raises(KNearestInexact):
+            apsp_theorem11(graph, make_rng(0))
+
+    def test_load_precondition_enforced(self, rng):
+        graph = erdos_renyi(36, 0.3, rng)
+        with pytest.raises(LoadPreconditionError):
+            knearest_exact(graph, 30, 2, 5)
+        knearest_exact_unloaded(graph, 30, 2, 5)
+
+    def test_invalid_arguments(self, rng):
+        graph = erdos_renyi(16, 0.3, rng)
+        for k, h, i in [(0, 2, 2), (4, 0, 2), (4, 2, 0)]:
+            with pytest.raises(ValueError, match="need k, h, iterations"):
+                knearest_exact(graph, k, h, i)
+
+    def test_one_row_blocks_do_not_change_the_result(self, monkeypatch):
+        """``REPRO_MINPLUS_BUDGET=1`` (one row per block) changes nothing."""
+        for _, graph in BALL_CORPUS:
+            whole = knearest_exact_unloaded(graph, 7, 3, 2)
+            monkeypatch.setenv("REPRO_MINPLUS_BUDGET", "1")
+            assert_identical(knearest_exact_unloaded(graph, 7, 3, 2), whole)
+            monkeypatch.delenv("REPRO_MINPLUS_BUDGET")
+
+    def test_candidates_never_trail_the_kth_entry(self, monkeypatch):
+        """The k-th-value prune: no candidate reaches the merge behind its
+        row's current k-th ``(value, ID)`` entry.
+
+        Rows are told apart by their own ``(u, 0)`` entry, which every
+        merge carries; the spy tracks each row's k-th entry from the
+        merges' outputs.
+        """
+        module = importlib.import_module("repro.core.knearest")
+        real = module._k_smallest_of_candidates
+        graph = dict(BALL_CORPUS)["ties"]
+        k = 6
+        kth = {u: (np.inf, -1) for u in range(graph.n)}
+        merges = []
+
+        def spy(rows, cols, values, n_rows, n_cols, k_, held=None):
+            out_idx, out_val, below = real(rows, cols, values, n_rows, n_cols, k_, held)
+            for r in range(n_rows):
+                mine = rows == r
+                u = int(cols[mine & (values == 0)][0])
+                kth_val, kth_id = kth[u]
+                late = (values[mine] > kth_val) | (
+                    (values[mine] == kth_val) & (cols[mine] > kth_id)
+                )
+                assert not late.any(), f"row {u} got a candidate behind {kth[u]}"
+                kth[u] = (out_val[r, k_ - 1], out_idx[r, k_ - 1])
+            merges.append(n_rows)
+            return out_idx, out_val, below
+
+        monkeypatch.setattr(module, "_k_smallest_of_candidates", spy)
+        got = knearest_exact_unloaded(graph, k, 3, 2)
+        assert merges
+        assert_identical(got, knearest_iterated_reference(graph.matrix(), k, 3, 2))
+
+    def test_theorem11_never_densifies_its_input(self, monkeypatch):
+        """The solve path reads ``graph`` through its CSR only."""
+        graph = erdos_renyi(200, 4 / 200, make_rng(5))
+        exact = exact_apsp(graph)
+
+        def forbidden():
+            raise AssertionError("apsp_theorem11 built the dense input matrix")
+
+        monkeypatch.setattr(graph, "matrix", forbidden)
+        result = apsp_theorem11(graph, make_rng(1))
+        report = check_estimate(exact, result.estimate)
+        assert report.sound and report.max_stretch <= result.factor + 1e-9
 
 
 def stable_argsort_reference(matrix, k):

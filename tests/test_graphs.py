@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,58 @@ class TestGenerators:
     def test_erdos_renyi_disconnected_allowed(self, rng):
         g = erdos_renyi(20, 0.0, rng, connected=False)
         assert g.num_edges == 0
+
+    #: sha256 of ``edge_u``, ``edge_v``, ``edge_w`` bytes (first 16 hex
+    #: digits) of ``erdos_renyi(n, 4 / n, default_rng(seed))``, frozen from
+    #: the one-bulk-draw generator that the row-block draws replaced.
+    FROZEN_ER = {
+    (64, 1): "4d12c3bc96029fe2",
+    (64, 2): "e5732b64ee4c4046",
+    (64, 3): "e9e9c3bde8e2f7ef",
+    (64, 4): "321f0f11b921d10a",
+    (64, 5): "d782ef00651b2dfb",
+    (512, 1): "9188125ac806257f",
+    (512, 2): "1772023a4e98c14d",
+    (512, 3): "0664584ff18bdddb",
+    (512, 4): "79c36913604c6714",
+    (512, 5): "8e39eb99e2f59fca",
+    (2048, 1): "3c4becbfb05225bd",
+    (2048, 2): "927a97be918b130b",
+    (2048, 3): "a3c20303a8604867",
+    (2048, 4): "293a000ab666014e",
+    (2048, 5): "369ec208d3f24f70",
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(FROZEN_ER))
+    def test_erdos_renyi_frozen_output(self, n, seed):
+        g = erdos_renyi(n, 4.0 / n, np.random.default_rng(seed))
+        digest = hashlib.sha256()
+        for array in (g.edge_u, g.edge_v, g.edge_w):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest()[:16] == self.FROZEN_ER[(n, seed)]
+
+    def test_erdos_renyi_draws_in_row_blocks(self):
+        """The pair draws never materialise all n(n-1)/2 uniforms: a
+        one-pair block draws one row at a time, with the same pairs and
+        the same generator state as one bulk draw."""
+        from repro.graphs.generators import _bernoulli_pairs
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng, self.sizes = rng, []
+
+            def random(self, size):
+                self.sizes.append(size)
+                return self.rng.random(size)
+
+        bulk_rng = np.random.default_rng(3)
+        rows, cols = np.triu_indices(40, k=1)
+        keep = bulk_rng.random(rows.size) < 0.1
+        blocked = Recording(np.random.default_rng(3))
+        u, v = _bernoulli_pairs(40, 0.1, blocked, block=1)
+        assert blocked.sizes == list(range(39, 0, -1))
+        assert np.array_equal(u, rows[keep]) and np.array_equal(v, cols[keep])
+        assert blocked.rng.random() == bulk_rng.random()
 
     def test_grid_shape(self, rng):
         g = grid_graph(4, rng)

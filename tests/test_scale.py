@@ -47,14 +47,19 @@ class TestScale256:
         assert elapsed < 30.0
 
     def test_knearest_at_scale(self, big_graph):
-        from repro.core import knearest_iterated
+        from repro.core import knearest_exact, knearest_iterated
         from repro.semiring import k_smallest_in_rows, minplus_power
 
         matrix = big_graph.matrix()
         result = knearest_iterated(matrix, 16, 2, 3)
         truth = minplus_power(matrix, 8)
-        t_idx, _ = k_smallest_in_rows(truth, 16)
+        t_idx, t_val = k_smallest_in_rows(truth, 16)
         assert np.array_equal(result.indices, t_idx)
+        # Every 16-nearest set here lies within 8 hops, so the exact balls
+        # (h^i = 16 >= k) match the same 8-hop truth.
+        exact = knearest_exact(big_graph, 16, 2, 4)
+        assert np.array_equal(exact.indices, t_idx)
+        assert np.array_equal(exact.values, t_val)
 
     def test_hopset_at_scale(self, big_graph, big_exact):
         from repro.core import build_knearest_hopset

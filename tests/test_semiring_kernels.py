@@ -21,8 +21,10 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import knearest_exact
 from repro.graphs import (
     ExactOracleCache,
+    WeightedGraph,
     erdos_renyi,
     exact_apsp,
     graph_content_hash,
@@ -160,6 +162,11 @@ def _budget_site_hop_merge():
     hop_merge_row_sparse(row_sparse_from_dense(matrix, 2), 2)
 
 
+def _budget_site_knearest_exact():
+    graph = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)])
+    knearest_exact(graph, 2, 2, 1)
+
+
 class TestMemoryBudgetEnv:
     """``REPRO_MINPLUS_BUDGET`` is checked once, the same way at every site."""
 
@@ -167,6 +174,7 @@ class TestMemoryBudgetEnv:
         "minplus": _budget_site_minplus,
         "minplus_gather": _budget_site_gather,
         "hop_merge_row_sparse": _budget_site_hop_merge,
+        "knearest_exact": _budget_site_knearest_exact,
     }
 
     @pytest.mark.parametrize("site", sorted(SITES))

@@ -208,6 +208,56 @@ class TestTamperedArtifacts:
         with pytest.raises(ArtifactIntegrityError, match=rf"{name}\[0, 5\]"):
             DistanceOracle.from_dict(payload)
 
+    CORRUPT_ESTIMATES = [
+        ((0, 5), -3.0, r"estimate\[0, 5\] = -3\.0 is not a distance"),
+        ((0, 5), float("nan"), r"estimate\[0, 5\] = nan is not a distance"),
+        ((4, 4), 7.0, r"estimate\[4, 4\] = 7\.0: the diagonal must be 0"),
+    ]
+
+    @pytest.mark.parametrize("encoding", ["b64", "list"])
+    @pytest.mark.parametrize("cell, value, match", CORRUPT_ESTIMATES)
+    def test_corrupt_estimate_rejected(self, encoding, cell, value, match):
+        """Estimates no graph has never load: ``query_many`` would serve
+        them as they are."""
+        graph, estimate, _ = build_case(8, n=16, p=0.3)
+        oracle = DistanceOracle.build(graph, estimate)
+        if encoding == "list":
+            # The list codec writes NaN as null: corrupt the payload itself.
+            payload = oracle.to_dict(matrix_encoding=encoding)
+            payload["estimate"][cell[0]][cell[1]] = value
+        else:
+            corrupt = np.array(oracle.estimate)
+            corrupt[cell] = value
+            payload = DistanceOracle(
+                corrupt, oracle.next_hop, oracle.hop_weight
+            ).to_dict(matrix_encoding=encoding)
+        with pytest.raises(ArtifactIntegrityError, match=match):
+            DistanceOracle.from_dict(payload)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("cell, value, match", CORRUPT_ESTIMATES)
+    def test_corrupt_estimate_rejected_at_build(self, dtype, cell, value, match):
+        """``build`` refuses what ``from_dict`` would refuse to load."""
+        graph, estimate, _ = build_case(8, n=16, p=0.3)
+        estimate[cell] = value
+        with pytest.raises(ArtifactIntegrityError, match=match):
+            DistanceOracle.build(graph, estimate.astype(dtype))
+
+    @pytest.mark.parametrize("encoding", ["b64", "list"])
+    def test_unreachable_pairs_build_save_and_load(self, tmp_path, encoding):
+        """``inf`` entries are legal: an oracle of a disconnected graph
+        survives build -> save -> load."""
+        graph = erdos_renyi(24, 0.05, make_rng(9), connected=False)
+        exact = exact_apsp(graph)
+        assert np.isinf(exact).any()
+        oracle = DistanceOracle.build(graph, exact)
+        path = os.path.join(tmp_path, "oracle.json")
+        oracle.save(path, matrix_encoding=encoding)
+        clone = DistanceOracle.load(path)
+        assert np.array_equal(clone.estimate, oracle.estimate)
+        assert np.array_equal(clone.next_hop, oracle.next_hop)
+        assert np.array_equal(clone.hop_weight, oracle.hop_weight)
+
     @pytest.mark.parametrize("encoding", ["b64", "list"])
     def test_dead_hop_with_finite_weight_rejected(self, encoding):
         graph, estimate, _ = build_case(8, n=16, p=0.3)
