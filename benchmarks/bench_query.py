@@ -38,7 +38,7 @@ from repro.core.routing_tables import (
 from repro.graphs import cached_exact_apsp, erdos_renyi
 from repro.serve import DistanceOracle, route_batch
 
-from conftest import artifact_path, rng_for
+from conftest import artifact_path, host_fingerprint, rng_for
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SIZES = (32, 64) if SMOKE else (64, 128, 256, 512)
@@ -157,6 +157,7 @@ def test_batch_router_identical_and_fast(query_records, results_sink, benchmark)
         "experiment": "E20-query",
         "sizes": list(SIZES),
         "smoke": SMOKE,
+        "host": host_fingerprint(),
         "records": query_records,
     }
     with open(artifact_path("BENCH_query.json"), "w", encoding="utf-8") as sink:

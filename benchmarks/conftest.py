@@ -1,12 +1,12 @@
 """Shared workloads and reporting for the benchmark/experiment harness.
 
 Every module regenerates one experiment from DESIGN.md's per-experiment
-index (E1-E12).  Conventions:
+index.  Conventions:
 
 * each experiment prints a markdown table ("paper claim" vs "measured") and
   appends it to ``bench_results.md`` at the repo root;
-* each experiment also times a representative kernel via pytest-benchmark,
-  so ``pytest benchmarks/ --benchmark-only`` doubles as a perf harness;
+* each experiment writes one ``BENCH_*.json`` artifact that
+  ``run_smoke.py`` gates;
 * tables must state the *bound* next to the *measured* value — the
   reproduction's claim is "measured within bound, shape as in the paper".
 """
@@ -14,15 +14,17 @@ index (E1-E12).  Conventions:
 from __future__ import annotations
 
 import os
+import platform
+import subprocess
 import zlib
-from typing import Dict, List
+from typing import Any, Dict
 
 import numpy as np
 import pytest
 
 from repro.cclique import RoundLedger
 from repro.cli import build_workload
-from repro.core.registry import VARIANTS, VariantSpec, run_variant
+from repro.core.registry import run_variant
 from repro.graphs import WeightedGraph, cached_exact_apsp
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
@@ -63,6 +65,31 @@ def artifact_path(name: str) -> str:
     return os.path.join(SMOKE_ARTIFACT_DIR, name)
 
 
+def host_fingerprint() -> Dict[str, Any]:
+    """Where a full-run artifact was measured, and on which commit.
+
+    ``git_dirty`` marks a run from a working tree with uncommitted changes.
+    """
+    def git(*args: str) -> Any:
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=ROOT, capture_output=True, text=True,
+                check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+    }
+
+
 def rng_for(tag: str) -> np.random.Generator:
     """A generator seeded from ``tag`` alone.
 
@@ -71,11 +98,6 @@ def rng_for(tag: str) -> np.random.Generator:
     one run to the next.
     """
     return np.random.default_rng(zlib.crc32(tag.encode("utf-8")))
-
-
-def registered_variants() -> List[VariantSpec]:
-    """The solver catalogue, in registration order (registry-driven)."""
-    return list(VARIANTS)
 
 
 def run_registered(name: str, graph: WeightedGraph, tag: str, **params):
@@ -90,12 +112,6 @@ def run_registered(name: str, graph: WeightedGraph, tag: str, **params):
         name, graph, rng_for(tag), ledger=ledger, apply_defaults=True, **params
     )
     return result, ledger
-
-
-@pytest.fixture(params=list(VARIANTS.names()))
-def variant_name(request) -> str:
-    """Parametrized fixture iterating every registered variant name."""
-    return request.param
 
 
 _GRAPH_CACHE: Dict[str, WeightedGraph] = {}

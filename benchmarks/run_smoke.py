@@ -55,8 +55,58 @@ def _check_chaos(data: Dict[str, Any]) -> List[str]:
     return problems
 
 
+def _check_claims(data: Dict[str, Any]) -> List[str]:
+    """The paper's claims, read off ``BENCH_claims.json``.
+
+    Every record is sound, its max stretch is within its declared factor,
+    and that factor within the registry's bound where one is declared.
+    Theorem 1.2: at each n the factor does not rise and the rounds do not
+    fall as t grows.  Theorem 1.1: rounds grow more slowly than n.
+    """
+    problems = _records_nonempty(data)
+    tradeoff: Dict[int, List[Dict[str, Any]]] = {}
+    theorem11: List[Dict[str, Any]] = []
+    for record in data.get("records", []):
+        label = f"{record['variant']} n={record['n']} {record['params']}"
+        factor, bound = record["factor"], record["factor_bound"]
+        if not record["sound"]:
+            problems.append(f"{label}: under-estimates a distance")
+        if record["max_stretch"] > factor + 1e-9:
+            problems.append(
+                f"{label}: max stretch {record['max_stretch']} > factor {factor}"
+            )
+        if bound is not None and factor > bound + 1e-9:
+            problems.append(f"{label}: factor {factor} > declared bound {bound}")
+        if "t" in record["params"]:
+            tradeoff.setdefault(record["n"], []).append(record)
+        if record["variant"] == "theorem11":
+            theorem11.append(record)
+    if not tradeoff:
+        problems.append("no record with a t parameter (Theorem 1.2)")
+    for n, rows in sorted(tradeoff.items()):
+        rows.sort(key=lambda r: r["params"]["t"])
+        for low, high in zip(rows, rows[1:]):
+            pair = f"n={n} t={low['params']['t']}->{high['params']['t']}"
+            if high["factor"] > low["factor"] + 1e-9:
+                problems.append(f"tradeoff {pair}: factor rises with t")
+            if high["rounds"] < low["rounds"]:
+                problems.append(f"tradeoff {pair}: rounds fall with t")
+    theorem11.sort(key=lambda r: r["n"])
+    if len(theorem11) < 2:
+        problems.append("theorem11 recorded at fewer than two sizes")
+    else:
+        first, last = theorem11[0], theorem11[-1]
+        if last["rounds"] / first["rounds"] >= last["n"] / first["n"]:
+            problems.append(
+                f"theorem11 rounds grew {first['rounds']}->{last['rounds']} "
+                f"while n grew {first['n']}->{last['n']}"
+            )
+    return problems
+
+
 #: (bench module, artifact path, experiment tag, artifact gate).
 SUITES: List[Tuple[str, str, str, Callable[[Dict[str, Any]], List[str]]]] = [
+    ("bench_claims.py", "BENCH_claims.json", "E1-claims", _check_claims),
     ("bench_pipeline.py", "BENCH_pipeline.json", "E18-pipeline",
      _check_pipeline),
     ("bench_routing.py", "BENCH_routing.json", "E19-routing",

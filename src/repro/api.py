@@ -48,6 +48,12 @@ EXECUTORS = ("serial", "thread", "process")
 MATRIX_ENCODINGS = ("list", "b64")
 
 
+class ArtifactIntegrityError(ValueError):
+    """A loaded payload breaks the artifact's invariants: a matrix record
+    whose bytes, dtype or shape disagree with what it declares, or (for
+    the distance oracle) a forwarding table or estimate no graph has."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Immutable, validated solver configuration.
@@ -246,7 +252,7 @@ class ApspResult(Estimate):
             estimate = np.full((data["n"], data["n"]), np.inf)
             np.fill_diagonal(estimate, 0.0)
         elif isinstance(estimate_rows, Mapping):
-            estimate = _matrix_from_b64(estimate_rows)
+            estimate = _matrix_from_b64(estimate_rows, "<f8")
         else:
             estimate = _matrix_from_jsonable(estimate_rows)
         stretch = data.get("stretch")
@@ -409,12 +415,28 @@ def _matrix_to_b64(matrix: np.ndarray, dtype: str = "<f8") -> Dict[str, Any]:
     }
 
 
-def _matrix_from_b64(record: Mapping[str, Any]) -> np.ndarray:
+def _matrix_from_b64(record: Mapping[str, Any], dtype: str) -> np.ndarray:
+    """Decode a :func:`_matrix_to_b64` record of element type ``dtype``.
+
+    Raises :class:`ArtifactIntegrityError` when the record declares
+    another dtype or its byte length does not fill its shape.
+    """
     if record.get("encoding") != "b64":
         raise ValueError(f"unknown matrix encoding: {record.get('encoding')!r}")
+    stored = np.dtype(record.get("dtype", "<f8"))
+    if stored != np.dtype(dtype):
+        raise ArtifactIntegrityError(
+            f"b64 record dtype {stored.str} is not the declared {np.dtype(dtype).str}"
+        )
     raw = base64.b64decode(record["data"])
-    out = np.frombuffer(raw, dtype=np.dtype(record.get("dtype", "<f8")))
-    return out.reshape(tuple(int(d) for d in record["shape"])).copy()
+    shape = tuple(int(d) for d in record["shape"])
+    expected = int(np.prod(shape)) * stored.itemsize
+    if len(raw) != expected:
+        raise ArtifactIntegrityError(
+            f"b64 record holds {len(raw)} bytes; shape {shape} of "
+            f"{stored.str} needs {expected}"
+        )
+    return np.frombuffer(raw, dtype=stored).reshape(shape).copy()
 
 
 def _ledger_to_dict(ledger: RoundLedger) -> Dict[str, Any]:
@@ -474,6 +496,7 @@ def _jsonable(value: Any) -> Any:
 
 
 __all__ = [
+    "ArtifactIntegrityError",
     "ApspResult",
     "ApspSolver",
     "SolverConfig",

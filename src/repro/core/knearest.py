@@ -219,7 +219,7 @@ def knearest_one_round(
 
 
 def _checked_input(
-    matrix: np.ndarray, k: int, h: int, validate: bool
+    matrix: np.ndarray, k: int, h: int, validate: bool = True
 ) -> np.ndarray:
     """The square float matrix, after the Lemma 5.1 load precondition."""
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -261,7 +261,6 @@ def knearest_iterated(
     h: int,
     iterations: int,
     ledger: Optional[RoundLedger] = None,
-    validate: bool = True,
 ) -> KNearestResult:
     """Lemma 5.2: ``h^i``-hop distances to ``N^{h^i}_k(u)`` in O(i) rounds.
 
@@ -271,7 +270,7 @@ def knearest_iterated(
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    matrix = _checked_input(matrix, k, h, validate)
+    matrix = _checked_input(matrix, k, h)
     n = matrix.shape[0]
     filtered = row_sparse_from_dense(matrix, k)
     result: Optional[KNearestResult] = None
@@ -492,7 +491,6 @@ def knearest_exact_via_hopset(
     h: int,
     beta: int,
     ledger: Optional[RoundLedger] = None,
-    validate: bool = True,
 ) -> KNearestResult:
     """Lemma 3.3: exact distances to ``N_k(u)`` given a k-nearest beta-hopset.
 
@@ -502,6 +500,4 @@ def knearest_exact_via_hopset(
     the ``h^i``-hop distances are the true distances on those pairs.
     """
     i = params.knearest_iterations(beta, h)
-    return knearest_iterated(
-        augmented_matrix, k, h, i, ledger=ledger, validate=validate
-    )
+    return knearest_iterated(augmented_matrix, k, h, i, ledger=ledger)

@@ -33,6 +33,7 @@ import numpy as np
 
 from ..api import (
     MATRIX_ENCODINGS,
+    ArtifactIntegrityError,
     _jsonable,
     _matrix_from_b64,
     _matrix_from_jsonable,
@@ -50,16 +51,12 @@ ORACLE_FORMAT = "repro.distance-oracle"
 ORACLE_VERSION = 1
 
 
-class ArtifactIntegrityError(ValueError):
-    """An oracle payload or source estimate breaks the artifact's
-    invariants: its forwarding table or its distances."""
-
-
 def _check_forwarding(next_hop: np.ndarray, hop_weight: np.ndarray) -> None:
     """Reject a table that could route off the node range or in silence.
 
     Every ``next_hop`` entry must be a node id or the ``-1`` sentinel, and
-    ``hop_weight`` must be finite exactly where a live hop exists.
+    ``hop_weight`` must be finite and nonnegative exactly where a live hop
+    exists.
     """
     n = next_hop.shape[0]
     out_of_range = np.argwhere((next_hop < -1) | (next_hop >= n))
@@ -76,6 +73,13 @@ def _check_forwarding(next_hop: np.ndarray, hop_weight: np.ndarray) -> None:
             f"hop_weight[{u}, {t}] = {float(hop_weight[u, t])} disagrees with "
             f"next_hop[{u}, {t}] = {int(next_hop[u, t])}: weights must be "
             f"finite exactly on live hops ({len(mismatch)} bad entries)"
+        )
+    negative = np.argwhere((next_hop >= 0) & (hop_weight < 0))
+    if negative.size:
+        u, t = (int(v) for v in negative[0])
+        raise ArtifactIntegrityError(
+            f"hop_weight[{u}, {t}] = {float(hop_weight[u, t])} is negative on "
+            f"a live hop ({len(negative)} bad entries)"
         )
 
 
@@ -393,11 +397,14 @@ class DistanceOracle:
     def from_dict(cls, data: Mapping[str, Any]) -> "DistanceOracle":
         """Decode a :meth:`to_dict` payload.
 
-        Raises :class:`ArtifactIntegrityError` when the forwarding table
-        could route off the node range or along a hop of unknown weight,
-        or when the estimate holds a negative or NaN entry or a nonzero
-        diagonal.  The checks run here, once per load, and never on the
-        query path.
+        Raises :class:`ArtifactIntegrityError` when a matrix record
+        disagrees with the payload (a b64 dtype other than the declared
+        one, a byte length that does not fill the shape, a shape other
+        than the payload's ``(n, n)``), when the forwarding table could
+        route off the node range or along a hop of unknown or negative
+        weight, or when the estimate holds a negative or NaN entry or a
+        nonzero diagonal.  The checks run here, once per load, and never
+        on the query path.
         """
         if data.get("format") != ORACLE_FORMAT:
             raise ValueError(
@@ -412,15 +419,21 @@ class DistanceOracle:
         est_dtype = np.dtype(str(data.get("estimate_dtype", "<f8")))
         if est_dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError(f"unsupported estimate dtype {est_dtype}")
-        estimate = _decode_matrix(data["estimate"], est_dtype)
-        next_hop = _decode_matrix(data["next_hop"], np.int64)
-        hop_weight = _decode_matrix(data["hop_weight"], np.float64)
-        oracle = cls(
-            estimate=estimate,
-            next_hop=next_hop,
-            hop_weight=hop_weight,
-            meta=dict(data.get("meta") or {}),
-        )
+        arrays = {
+            name: _decode_matrix(data[name], dtype)
+            for name, dtype in (
+                ("estimate", est_dtype),
+                ("next_hop", np.dtype("<i8")),
+                ("hop_weight", np.dtype("<f8")),
+            )
+        }
+        n = data.get("n")
+        for name, array in arrays.items():
+            if array.shape != (n, n):
+                raise ArtifactIntegrityError(
+                    f"{name} has shape {array.shape}; the payload declares n = {n!r}"
+                )
+        oracle = cls(meta=dict(data.get("meta") or {}), **arrays)
         _check_forwarding(oracle.next_hop, oracle.hop_weight)
         _check_estimate(oracle.estimate)
         return oracle
@@ -478,15 +491,21 @@ class DistanceOracle:
         return clone
 
 
-def _decode_matrix(payload: Any, dtype: Any) -> np.ndarray:
-    """Decode either codec into a fresh array of ``dtype``."""
-    dtype = np.dtype(dtype)
+def _decode_matrix(payload: Any, dtype: np.dtype) -> np.ndarray:
+    """Decode either codec into a fresh array of ``dtype``.
+
+    A b64 record must carry ``dtype`` itself; a ragged list raises
+    :class:`ArtifactIntegrityError` rather than numpy's bare error.
+    """
     if isinstance(payload, Mapping):
-        out = _matrix_from_b64(payload)
-    elif dtype.kind == "i":
-        out = np.asarray(payload, dtype=dtype)
-    else:
-        out = _matrix_from_jsonable(payload)
+        return _matrix_from_b64(payload, dtype.str)
+    try:
+        if dtype.kind == "i":
+            out = np.asarray(payload, dtype=dtype)
+        else:
+            out = _matrix_from_jsonable(payload)
+    except (TypeError, ValueError) as error:
+        raise ArtifactIntegrityError(f"malformed list matrix: {error}") from error
     return np.ascontiguousarray(out, dtype=dtype)
 
 

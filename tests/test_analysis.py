@@ -13,6 +13,7 @@ from repro.analysis import (
     summarize_stretch,
 )
 from repro.graphs import (
+    ApproximationReport,
     assert_valid_approximation,
     check_estimate,
     is_symmetric,
@@ -58,6 +59,41 @@ class TestCheckEstimate:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             check_estimate(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_row_blocks_match_the_whole_matrix_formula(self):
+        """n spans several row blocks; every field equals the whole-matrix
+        computation, with zero-distance, unreachable and under-estimated
+        pairs, and a float32 estimate."""
+        rng = np.random.default_rng(3)
+        n = 700
+        exact = rng.integers(0, 20, (n, n)).astype(float)
+        exact[rng.random((n, n)) < 0.05] = np.inf
+        np.fill_diagonal(exact, 0.0)
+        estimate = exact * rng.uniform(0.9, 3.0, (n, n))
+        estimate[rng.random((n, n)) < 0.01] = np.inf
+        np.fill_diagonal(estimate, 0.0)
+        for candidate in (estimate, estimate.astype(np.float32)):
+            want = whole_matrix_report(exact, candidate)
+            assert want.underestimates > 0
+            assert check_estimate(exact, candidate) == want
+
+
+def whole_matrix_report(exact, estimate, rtol=1e-9):
+    """The one-pass formula ``check_estimate`` computes in row blocks."""
+    exact = np.asarray(exact, dtype=np.float64)
+    estimate = np.asarray(estimate, dtype=np.float64)
+    finite = np.isfinite(exact) & ~np.eye(exact.shape[0], dtype=bool)
+    d, e = exact[finite], estimate[finite]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stretch = np.where(d > 0, e / d, np.where(e > 0, np.inf, 1.0))
+    finite_stretch = stretch[np.isfinite(stretch)]
+    return ApproximationReport(
+        max_stretch=float(np.max(stretch)),
+        mean_stretch=float(np.mean(finite_stretch)),
+        median_stretch=float(np.median(finite_stretch)),
+        underestimates=int(np.sum(e < d * (1.0 - rtol))),
+        pairs_checked=int(d.size),
+    )
 
 
 class TestSymmetry:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro import approximate_apsp, erdos_renyi
-from repro.api import ApspResult, ApspSolver, SolverConfig
+from repro.api import ApspResult, ApspSolver, ArtifactIntegrityError, SolverConfig
 from repro.core import registry
 from repro.core.registry import VARIANTS, run_variant
 from repro.graphs import check_estimate, exact_apsp
@@ -285,6 +285,16 @@ class TestApspResultJson:
     def test_unknown_matrix_encoding_rejected(self):
         with pytest.raises(ValueError):
             self.solve_one().to_dict(matrix_encoding="pickle")
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("dtype", "<i8", "not the declared"),
+        ("shape", [37, 36], "bytes; shape"),
+    ])
+    def test_tampered_b64_record_rejected(self, field, value, match):
+        payload = json.loads(self.solve_one().to_json(matrix_encoding="b64"))
+        payload["estimate"][field] = value
+        with pytest.raises(ArtifactIntegrityError, match=match):
+            ApspResult.from_json(json.dumps(payload))
 
 
 class TestRegistrySweep:

@@ -1,4 +1,5 @@
-"""The benchmark harness (``benchmarks/conftest.py``) is reproducible.
+"""The benchmark harness (``benchmarks/conftest.py``) is reproducible, and
+the claims gate (``run_smoke._check_claims``) rejects what it should.
 
 Each probe runs in a fresh interpreter from the ``benchmarks/`` directory,
 the way the bench modules import the harness, so the per-process
@@ -8,10 +9,14 @@ test's control.
 
 from __future__ import annotations
 
+import copy
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -73,3 +78,53 @@ def test_smoke_artifacts_stay_out_of_the_repo_root():
     assert run_probe(_ARTIFACT_PROBE) == "BENCH_chaos.json"
     smoke = run_probe(_ARTIFACT_PROBE, REPRO_BENCH_SMOKE="1")
     assert smoke == os.path.join(".bench_smoke", "BENCH_chaos.json")
+
+
+def load_run_smoke():
+    path = os.path.join(REPO_ROOT, "benchmarks", "run_smoke.py")
+    spec = importlib.util.spec_from_file_location("run_smoke", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def check_claims():
+    return load_run_smoke()._check_claims
+
+
+@pytest.fixture
+def claims():
+    """A fresh copy of the committed full-run claims artifact."""
+    with open(os.path.join(REPO_ROOT, "BENCH_claims.json"), encoding="utf-8") as source:
+        return copy.deepcopy(json.load(source))
+
+
+def test_committed_claims_artifact_is_a_full_run_within_its_gate(claims, check_claims):
+    assert claims["smoke"] is False
+    assert claims["experiment"] == "E1-claims"
+    for key in ("nproc", "machine", "python", "numpy", "git_sha"):
+        assert claims["host"][key], key
+    sizes = sorted(r["n"] for r in claims["records"] if r["variant"] == "theorem11")
+    assert sizes == [1024, 2048, 4096, 8192]
+    assert check_claims(claims) == []
+
+
+def test_claims_gate_rejects_stretch_above_the_declared_factor(claims, check_claims):
+    record = next(r for r in claims["records"] if r["variant"] == "small-diameter")
+    record["factor"] = record["max_stretch"] / 2
+    assert any("max stretch" in p for p in check_claims(claims))
+
+
+def test_claims_gate_rejects_a_factor_above_the_registry_bound(claims, check_claims):
+    record = next(r for r in claims["records"] if r["variant"] == "theorem11")
+    record["factor_bound"] = record["max_stretch"] / 2
+    assert any("declared bound" in p for p in check_claims(claims))
+
+
+def test_claims_gate_rejects_a_tradeoff_factor_rising_with_t(claims, check_claims):
+    rows = [r for r in claims["records"] if r["variant"] == "tradeoff" and r["n"] == 1024]
+    last = max(rows, key=lambda r: r["params"]["t"])
+    last["factor"] = min(r["factor"] for r in rows) * 2
+    last["max_stretch"] = 1.0
+    assert any("factor rises with t" in p for p in check_claims(claims))

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from repro.cclique import RoundLedger
-from repro.core import exact_apsp_baseline, spanner_only_baseline, uy90_baseline
+from repro.core import (
+    apsp_small_diameter,
+    exact_apsp_baseline,
+    spanner_only_baseline,
+    uy90_baseline,
+)
 from repro.graphs import check_estimate, erdos_renyi, exact_apsp
 from repro.semiring.kernels import minplus_square
 
@@ -89,6 +94,22 @@ class TestSpannerOnlyBaseline:
         exact_apsp_baseline(graph, ledger=exact_ledger)
         # the frontier: spanner-only must be cheaper than exact matmul
         assert ledger.total_rounds < exact_ledger.total_rounds + 50
+
+
+def test_frontier_constant_factor_rounds_against_exact():
+    """Section 1.1's frontier at n = 96: Theorem 7.1's constant factor
+    costs under 8x the exact baseline's rounds, and projecting its measured
+    rounds by log log log n to n = 10^6 lands below the exact
+    (log n * n^(1/3)) and UY90 (sqrt(n)) round formulas there."""
+    graph = erdos_renyi(96, 6.0 / 96, make_rng(8))
+    ours, exact = RoundLedger(96), RoundLedger(96)
+    apsp_small_diameter(graph, make_rng(8), ledger=ours)
+    exact_apsp_baseline(graph, ledger=exact)
+    assert ours.total_rounds < 8 * exact.total_rounds
+    n = 10**6
+    projected = ours.total_rounds * math.log2(math.log2(math.log2(n)))
+    assert projected < math.ceil(math.log2(n)) * math.ceil(n ** (1 / 3))
+    assert projected < math.ceil(math.sqrt(n))
 
 
 class TestPingPongBufferReuse:

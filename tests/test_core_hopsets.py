@@ -50,22 +50,21 @@ class TestHopsetConstruction:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_beta_hop_exactness_to_k_nearest(self, seed):
         """Lemma 4.2: every node reaches its sqrt(n)-nearest nodes by a
-        beta-hop path of exact length in G ∪ H."""
+        beta-hop path of exact length in G ∪ H, for a = 4 and a = 16."""
         rng = make_rng(seed)
         n = 36
         graph = erdos_renyi(n, 0.12, rng)
         exact = exact_apsp(graph)
-        a = 4.0
-        delta = synthetic_approximation(exact, a, rng)
-        result = build_knearest_hopset(graph, delta, a)
-        augmented = result.augmented(graph)
-        beta_hop = minplus_power(augmented.matrix(), result.beta_bound)
-        k = result.k
-        for u in range(n):
-            ids, dists = brute_force_k_nearest(exact, u, k)
-            assert np.allclose(beta_hop[u, ids], dists), (
-                f"node {u}: beta-hop distances differ from exact on N_k(u)"
-            )
+        for a in (4.0, 16.0):
+            delta = synthetic_approximation(exact, a, rng)
+            result = build_knearest_hopset(graph, delta, a)
+            augmented = result.augmented(graph)
+            beta_hop = minplus_power(augmented.matrix(), result.beta_bound)
+            for u in range(n):
+                ids, dists = brute_force_k_nearest(exact, u, result.k)
+                assert np.allclose(beta_hop[u, ids], dists), (
+                    f"a={a}, node {u}: beta-hop distances differ from exact on N_k(u)"
+                )
 
     def test_large_diameter_graph(self):
         """The log d factor at work: a path graph with heavy weights."""

@@ -47,7 +47,7 @@ SEEDS = [0, 1, 2]
 
 
 class TestBinPlan:
-    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096, 16384])
     @pytest.mark.parametrize("h", [2, 3, 4])
     def test_combination_count_at_most_n(self, n, h):
         """The paper's counting claim: h * C(p, h) <= n."""
@@ -193,6 +193,17 @@ class TestLemma52:
             knearest_iterated(np.zeros((3, 4)), 2, 2, 1)
 
 
+def unloaded(solve, *args):
+    """``solve(*args)`` with Lemma 5.1's load bound lifted.
+
+    The bound governs the round count, not exactness; lifting it lets the
+    differential tests reach small ``n`` and ``k >= n``.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(params, "knearest_feasible", lambda n, k, h: True)
+        return solve(*args)
+
+
 def assert_identical(result, expected):
     """Bit-identical rows: same IDs, same values, same padding."""
     assert np.array_equal(result.indices, expected.indices)
@@ -206,7 +217,7 @@ class TestRowSparseMatchesDenseReference:
 
     def _check(self, matrix, schedules=None):
         for k, h, i in schedules or self.SCHEDULES:
-            result = knearest_iterated(matrix, k, h, i, validate=False)
+            result = unloaded(knearest_iterated, matrix, k, h, i)
             assert_identical(result, knearest_iterated_reference(matrix, k, h, i))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -222,7 +233,7 @@ class TestRowSparseMatchesDenseReference:
         graph = erdos_renyi(100, 0.012, rng, weights=unit_weights(), connected=False)
         matrix = graph.matrix()
         self._check(matrix)
-        short = knearest_iterated(matrix, 16, 2, 2, validate=False)
+        short = unloaded(knearest_iterated, matrix, 16, 2, 2)
         assert (short.indices == -1).any()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -233,7 +244,7 @@ class TestRowSparseMatchesDenseReference:
         graph = clustered_zero_weight_graph(8, 12, rng)
         matrix = graph.matrix()
         self._check(matrix, [(4, 2, 3), (6, 3, 2), (11, 2, 2)])
-        rows = knearest_iterated(matrix, 4, 2, 3, validate=False).indices
+        rows = unloaded(knearest_iterated, matrix, 4, 2, 3).indices
         assert not all(u in rows[u] for u in range(graph.n))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -325,14 +336,7 @@ BALL_CORPUS = ball_corpus()
 
 
 def knearest_exact_unloaded(graph, k, h, i):
-    """:func:`knearest_exact` with Lemma 5.1's load bound lifted.
-
-    The bound governs the round count, not exactness; lifting it lets the
-    differential tests reach small ``n`` and ``k >= n``.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(params, "knearest_feasible", lambda n, k, h: True)
-        return knearest_exact(graph, k, h, i)
+    return unloaded(knearest_exact, graph, k, h, i)
 
 
 class TestKNearestExact:
@@ -347,7 +351,7 @@ class TestKNearestExact:
         for k, h, i in self.SCHEDULES:
             got = knearest_exact_unloaded(graph, k, h, i)
             assert_identical(got, knearest_iterated_reference(matrix, k, h, i))
-            assert_identical(got, knearest_iterated(matrix, k, h, i, validate=False))
+            assert_identical(got, unloaded(knearest_iterated, matrix, k, h, i))
             assert (got.k, got.h, got.iterations) == (k, h, i)
 
     @settings(max_examples=60, deadline=None)

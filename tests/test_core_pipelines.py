@@ -18,6 +18,7 @@ from repro.core import (
     apsp_theorem11,
     apsp_tradeoff,
     reduce_approximation,
+    tradeoff_factor_bound,
 )
 from repro.core.large_bandwidth import WEIGHT_SCALING_PHASE
 from repro.graphs import (
@@ -27,6 +28,7 @@ from repro.graphs import (
     grid_graph,
     polynomial_weights,
 )
+from repro.spanners import logn_bootstrap
 
 from tests.helpers import graph_family, make_rng, synthetic_approximation
 
@@ -35,7 +37,7 @@ SEEDS = [0, 1, 2]
 
 class TestFactorReduction:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("a", [16.0, 64.0])
+    @pytest.mark.parametrize("a", [4.0, 16.0, 64.0, 256.0])
     def test_lemma31_guarantee(self, seed, a):
         """15 sqrt(a) promised; chained factor and measured stretch comply."""
         rng = make_rng(seed)
@@ -90,7 +92,7 @@ class TestTheorem71:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_cc3_variant_guarantee(self, seed):
-        """CC[log^3 n] path: factor at most 7."""
+        """CC[log^3 n] path: factor at most 7, below the standard model's."""
         rng = make_rng(seed)
         n = 56
         graph = erdos_renyi(n, 0.1, rng)
@@ -102,6 +104,7 @@ class TestTheorem71:
         report = check_estimate(exact, result.estimate)
         assert report.sound
         assert report.max_stretch <= result.factor + 1e-9
+        assert result.factor < apsp_small_diameter(graph, make_rng(seed)).factor
 
     def test_graph_families(self):
         for name, graph in graph_family(3):
@@ -111,6 +114,19 @@ class TestTheorem71:
             report = check_estimate(exact, result.estimate)
             assert report.sound, name
             assert report.max_stretch <= result.factor + 1e-9, name
+
+    def test_every_seed_sound_and_within_21(self):
+        """The w.h.p. claims, seed by seed: Theorem 7.1 and its bootstrap
+        over 10 seeds of every graph family."""
+        for seed in range(10):
+            for name, graph in graph_family(seed):
+                exact = exact_apsp(graph)
+                ours = apsp_small_diameter(graph, make_rng(seed))
+                assert ours.factor <= 21.0
+                for result in (ours, logn_bootstrap(graph, make_rng(seed))):
+                    report = check_estimate(exact, result.estimate)
+                    assert report.sound, (seed, name)
+                    assert report.max_stretch <= result.factor + 1e-9, (seed, name)
 
     def test_small_graph_exact_fallback(self, rng):
         graph = erdos_renyi(8, 0.5, rng)
@@ -180,6 +196,8 @@ class TestTheorem81:
         exact = exact_apsp(graph)
         result = apsp_large_bandwidth(graph, rng)
         assert len(result.meta["scales"]) >= 2
+        light = apsp_large_bandwidth(erdos_renyi(56, 0.1, make_rng(8)), make_rng(8))
+        assert len(result.meta["scales"]) >= len(light.meta["scales"])
         report = check_estimate(exact, result.estimate)
         assert report.sound
         assert report.max_stretch <= result.factor + 1e-9
@@ -270,6 +288,11 @@ class TestTheorem12Tradeoff:
         graph = erdos_renyi(16, 0.3, rng)
         with pytest.raises(ValueError):
             apsp_tradeoff(graph, 0, rng)
+
+    def test_formula_bound_strictly_decreases_in_t(self):
+        """The O(log^(2^-t) n) bound improves with every t."""
+        bounds = [tradeoff_factor_bound(1 << 20, t) for t in range(1, 8)]
+        assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
 
 
 class TestExtendedEstimatesSymmetric:

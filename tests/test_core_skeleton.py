@@ -62,6 +62,18 @@ class TestHittingSet:
         members = build_hitting_set(idx, n, k, rng)
         assert len(members) <= 4 * n * np.log(k) / k + k
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_more_repetitions_never_grow_the_set(self, seed):
+        """Lemma 6.2's amplification keeps the smallest of the repetitions,
+        so more of them (same stream) never give a larger set."""
+        graph = erdos_renyi(96, 0.06, make_rng(seed))
+        idx, _ = exact_nearest_tables(exact_apsp(graph), 10)
+        sizes = [
+            len(build_hitting_set(idx, 96, 10, make_rng(seed), repetitions=r))
+            for r in (1, 4, 16)
+        ]
+        assert sizes == sorted(sizes, reverse=True)
+
     def test_k_one_degenerates_gracefully(self, rng):
         # k = 1: every node's set is itself, so S = V.
         n = 10
@@ -124,6 +136,16 @@ class TestSkeletonSimplified:
         idx, val = exact_nearest_tables(exact, k)
         skeleton = build_skeleton(graph, idx, val, k, rng, a=1.0)
         assert skeleton.num_nodes <= skeleton.size_bound + k
+
+    def test_size_shrinks_with_k(self):
+        """The reduction gets stronger as k grows, as Lemma 3.4 needs."""
+        graph = erdos_renyi(128, 0.05, make_rng(5))
+        exact = exact_apsp(graph)
+        sizes = [
+            build_skeleton(graph, *exact_nearest_tables(exact, k), k, make_rng(k), a=1.0).num_nodes
+            for k in (4, 32)
+        ]
+        assert sizes[0] > sizes[1]
 
     def test_grid_graph(self, rng):
         graph = grid_graph(7, rng)

@@ -101,6 +101,13 @@ class TestScalingPlan:
         plan = plan_scaling(delta, 2, 0.5)
         assert max(plan.needed) <= math.log2(n**3) + 2
 
+    def test_smaller_eps_trades_a_larger_cap_for_a_smaller_loss(self):
+        """Lemma 8.1's knob: B = ceil(2/eps), so the diameter cap B h^2
+        grows as the (1 + eps) loss shrinks."""
+        delta = exact_apsp(heavy_graph(0))
+        caps = [plan_scaling(delta, h=6, eps=eps).cap for eps in (0.05, 0.1, 0.5, 1.0)]
+        assert caps == sorted(caps, reverse=True) and caps[0] > caps[-1]
+
     def test_invalid_inputs(self):
         delta = np.zeros((2, 2))
         with pytest.raises(ValueError):

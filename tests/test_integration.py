@@ -24,6 +24,7 @@ from repro.graphs import (
     is_symmetric,
     path_with_shortcuts,
     preferential_attachment,
+    unit_weights,
 )
 
 from tests.helpers import make_rng
@@ -39,6 +40,8 @@ def workloads(seed: int):
         ("path", path_with_shortcuts(48, rng, shortcut_count=5)),
         ("pa", preferential_attachment(48, 2, rng)),
         ("heavy", erdos_renyi(48, 0.12, rng, weights=heavy_tail_weights())),
+        ("unit-er", erdos_renyi(48, 8.0 / 48, rng, weights=unit_weights())),
+        ("unit-grid", grid_graph(7, rng, weights=unit_weights())),
     ]
 
 

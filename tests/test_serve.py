@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 
@@ -187,6 +188,7 @@ class TestTamperedArtifacts:
         ("next_hop", 10**6),
         ("hop_weight", float("nan")),
         ("hop_weight", float("inf")),
+        ("hop_weight", -1.0),
     ]
 
     @staticmethod
@@ -268,6 +270,44 @@ class TestTamperedArtifacts:
             oracle.estimate, next_hop, oracle.hop_weight
         ).to_dict(matrix_encoding=encoding)
         with pytest.raises(ArtifactIntegrityError, match="live hops"):
+            DistanceOracle.from_dict(payload)
+
+    @staticmethod
+    def clean_payload(encoding):
+        graph, estimate, _ = build_case(8, n=16, p=0.3)
+        return DistanceOracle.build(graph, estimate).to_dict(matrix_encoding=encoding)
+
+    @pytest.mark.parametrize("name, dtype", [
+        ("estimate", "<i8"), ("next_hop", "<f8"), ("hop_weight", "<i8"),
+    ])
+    def test_b64_dtype_other_than_declared_rejected(self, name, dtype):
+        """Relabelled bytes of the right length would decode to garbage
+        (an ``<i8`` estimate read as distances near 4.6e18)."""
+        payload = self.clean_payload("b64")
+        payload[name]["dtype"] = dtype
+        with pytest.raises(ArtifactIntegrityError, match="not the declared"):
+            DistanceOracle.from_dict(payload)
+
+    @pytest.mark.parametrize("encoding", ["b64", "list"])
+    def test_payload_n_other_than_shape_rejected(self, encoding):
+        payload = self.clean_payload(encoding)
+        payload["n"] = 99
+        with pytest.raises(ArtifactIntegrityError, match="declares n = 99"):
+            DistanceOracle.from_dict(payload)
+
+    @pytest.mark.parametrize("name", ["estimate", "next_hop", "hop_weight"])
+    def test_truncated_b64_record_rejected(self, name):
+        payload = self.clean_payload("b64")
+        raw = base64.b64decode(payload[name]["data"])
+        payload[name]["data"] = base64.b64encode(raw[:-8]).decode("ascii")
+        with pytest.raises(ArtifactIntegrityError, match="bytes; shape"):
+            DistanceOracle.from_dict(payload)
+
+    @pytest.mark.parametrize("name", ["estimate", "next_hop", "hop_weight"])
+    def test_truncated_list_row_rejected(self, name):
+        payload = self.clean_payload("list")
+        payload[name][3] = payload[name][3][:-1]
+        with pytest.raises(ArtifactIntegrityError, match="malformed list matrix"):
             DistanceOracle.from_dict(payload)
 
     def test_from_json_rejects_as_value_error(self):

@@ -34,7 +34,7 @@ def spanner_stretch(graph, spanner) -> float:
 
 class TestBaswanaSengupta:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_stretch_bound(self, seed, k):
         rng = np.random.default_rng(seed)
         graph = erdos_renyi(48, 0.25, rng)
@@ -64,6 +64,14 @@ class TestBaswanaSengupta:
         k = 3
         spanner = baswana_sengupta_spanner(graph, k, rng)
         assert spanner.num_edges <= 2 * spanner_edge_bound(64, k)
+
+    def test_edges_shrink_with_k(self):
+        graph = erdos_renyi(96, 0.25, np.random.default_rng(6))
+        sizes = [
+            baswana_sengupta_spanner(graph, k, np.random.default_rng(k)).num_edges
+            for k in (2, 6)
+        ]
+        assert sizes[1] <= sizes[0]
 
     def test_preserves_connectivity(self, rng):
         graph = grid_graph(6, rng)
@@ -134,6 +142,11 @@ class TestSpannerApproxAPSP:
         assert report.sound
         assert report.max_stretch <= result.factor + 1e-9
         assert ledger.total_rounds > 0
+        for alpha in (0.5, 2.0):
+            other = logn_bootstrap(graph, rng, alpha=alpha)
+            report = check_estimate(exact, other.estimate)
+            assert report.sound, alpha
+            assert report.max_stretch <= other.factor + 1e-9, alpha
 
     def test_bootstrap_factor_is_logarithmic(self):
         """(1+eps)(2b-1) <= alpha log2 n for n past the small-graph floor."""
