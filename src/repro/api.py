@@ -241,20 +241,30 @@ class ApspResult(Estimate):
 
     @classmethod
     def from_json(cls, payload: str) -> "ApspResult":
-        """Rebuild a result (estimate, ledger, certificate) from JSON."""
+        """Rebuild a result (estimate, ledger, certificate) from JSON.
+
+        Raises :class:`ArtifactIntegrityError` when the estimate record is
+        malformed (a b64 dtype or byte length that disagrees with it, a
+        ragged list), its shape is not the payload's ``(n, n)``, or it
+        holds a negative or NaN entry or a nonzero diagonal.
+        """
         data = json.loads(payload)
         meta = dict(data.get("meta") or {})
         ledger_data = data.get("ledger")
         if ledger_data is not None:
             meta["ledger"] = _ledger_from_dict(ledger_data)
+        n = data.get("n")
         estimate_rows = data.get("estimate")
         if estimate_rows is None:
-            estimate = np.full((data["n"], data["n"]), np.inf)
+            estimate = np.full((n, n), np.inf)
             np.fill_diagonal(estimate, 0.0)
-        elif isinstance(estimate_rows, Mapping):
-            estimate = _matrix_from_b64(estimate_rows, "<f8")
         else:
-            estimate = _matrix_from_jsonable(estimate_rows)
+            estimate = _decode_matrix(estimate_rows, np.dtype("<f8"))
+        if estimate.shape != (n, n):
+            raise ArtifactIntegrityError(
+                f"estimate has shape {estimate.shape}; the payload declares n = {n!r}"
+            )
+        _check_estimate(estimate)
         stretch = data.get("stretch")
         return cls(
             estimate=estimate,
@@ -437,6 +447,48 @@ def _matrix_from_b64(record: Mapping[str, Any], dtype: str) -> np.ndarray:
             f"{stored.str} needs {expected}"
         )
     return np.frombuffer(raw, dtype=stored).reshape(shape).copy()
+
+
+def _decode_matrix(payload: Any, dtype: np.dtype) -> np.ndarray:
+    """Decode either codec into a fresh array of ``dtype``.
+
+    A b64 record must carry ``dtype`` itself; a ragged list raises
+    :class:`ArtifactIntegrityError` rather than numpy's bare error.
+    """
+    if isinstance(payload, Mapping):
+        return _matrix_from_b64(payload, dtype.str)
+    try:
+        if dtype.kind == "i":
+            out = np.asarray(payload, dtype=dtype)
+        else:
+            out = _matrix_from_jsonable(payload)
+    except (TypeError, ValueError) as error:
+        raise ArtifactIntegrityError(f"malformed list matrix: {error}") from error
+    return np.ascontiguousarray(out, dtype=dtype)
+
+
+def _check_estimate(estimate: np.ndarray) -> None:
+    """Reject an estimate no graph has: a negative or NaN entry, or a
+    nonzero diagonal.  ``inf`` stays legal (unreachable pairs).  Scans in
+    row blocks, so a memmap-backed estimate is never read whole."""
+    n = estimate.shape[0]
+    step = max(1, (1 << 22) // max(n, 1))
+    for start in range(0, n, step):
+        block = np.asarray(estimate[start:start + step])
+        bad = np.argwhere(np.isnan(block) | (block < 0))
+        if bad.size:
+            u, v = int(bad[0][0]), int(bad[0][1])
+            raise ArtifactIntegrityError(
+                f"estimate[{start + u}, {v}] = {float(block[u, v])} is not a "
+                f"distance: entries must be >= 0 and not NaN"
+            )
+    off = np.flatnonzero(np.diagonal(estimate) != 0)
+    if off.size:
+        u = int(off[0])
+        raise ArtifactIntegrityError(
+            f"estimate[{u}, {u}] = {float(estimate[u, u])}: the diagonal must "
+            f"be 0 ({off.size} bad entries)"
+        )
 
 
 def _ledger_to_dict(ledger: RoundLedger) -> Dict[str, Any]:

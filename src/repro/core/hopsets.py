@@ -30,6 +30,7 @@ import numpy as np
 from ..cclique.accounting import RoundLedger
 from ..graphs.adjacency import batched_sssp, k_lightest_per_row
 from ..graphs.graph import WeightedGraph
+from ..graphs.validation import symmetrize_min_inplace
 from ..semiring.minplus import k_smallest_in_rows
 from . import params
 
@@ -201,7 +202,7 @@ def build_knearest_hopset(
     if not graph.directed:
         # Fold both orientations onto u < v, keeping the lighter one: the
         # edges come out canonical, so building the graph needs no sort.
-        local_dist = np.minimum(local_dist, local_dist.T)
+        symmetrize_min_inplace(local_dist)
         reached = np.triu(np.isfinite(local_dist), k=1)
     hop_src, hop_dst = np.nonzero(reached)
     hop_w = local_dist[hop_src, hop_dst]

@@ -24,7 +24,7 @@ import numpy as np
 from ..cclique.accounting import RoundLedger
 from ..graphs.distances import exact_apsp
 from ..graphs.graph import WeightedGraph
-from ..graphs.validation import symmetrize_min
+from ..graphs.validation import symmetrize_min_inplace
 from ..semiring.minplus import k_smallest_in_rows
 from ..spanners.logn_approx import logn_bootstrap
 from . import params
@@ -93,7 +93,7 @@ def apsp_large_bandwidth(
     # Step 1: bootstrap + hopset.
     with _phase(ledger, "thm8.1/bootstrap"):
         boot = logn_bootstrap(graph, rng, ledger=ledger, alpha=bootstrap_alpha)
-        delta0 = symmetrize_min(boot.estimate)
+        delta0 = symmetrize_min_inplace(boot.estimate)
         a0 = boot.factor
         hopset = build_knearest_hopset(graph, delta0, a0, ledger=ledger)
         augmented = hopset.augmented(graph)
@@ -133,7 +133,7 @@ def apsp_large_bandwidth(
         eta = assemble_eta(estimates, plan)
         eta[~np.isfinite(delta0)] = np.inf
         np.fill_diagonal(eta, 0.0)
-        eta = symmetrize_min(eta)
+        symmetrize_min_inplace(eta)
     a_eta = (1.0 + eps) * inner_factor
 
     # Step 3: skeleton from the approximate sqrt(n)-nearest sets.

@@ -24,8 +24,8 @@ set, the skeleton construction reduces APSP on ``G`` to APSP on a graph
    ``eta(u, v) = delta(u, c(u)) + delta_GS(c(u), c(v)) + delta(c(v), v)``
    for pairs outside the known sets, and ``delta(u, v)`` inside.  The
    known estimate is kept as ``O(nk)`` symmetric entry triples and
-   scattered over the through-skeleton matrix, so ``eta`` is the only
-   ``(n, n)`` array the step builds.
+   scattered over the through-skeleton matrix, and the symmetric minimum
+   runs in place, so ``eta`` is the only ``(n, n)`` array the step builds.
 
 The implementation follows the matrix formulation of Section 6.2 exactly,
 with the sparse products charged at the measured densities.
@@ -42,6 +42,7 @@ import numpy as np
 from ..cclique.accounting import RoundLedger
 from ..graphs.adjacency import min_dedup_edges
 from ..graphs.graph import WeightedGraph
+from ..graphs.validation import symmetrize_min_inplace
 from ..semiring.minplus import INF
 from ..semiring.sparse import (
     Entries,
@@ -280,7 +281,7 @@ def build_skeleton(
         product = sparse_minplus(
             _densify(x, (size, n)), _densify(y, (n, size)), **pricing
         )
-    weights = np.minimum(product.product, product.product.T)
+    weights = symmetrize_min_inplace(product.product)
     np.fill_diagonal(weights, INF)  # self-loops are not edges
     rows, cols = np.nonzero(np.isfinite(weights))
     upper = rows < cols
@@ -350,15 +351,17 @@ def extend_estimate(
             1.0, size, n, detail="eta assembly A^T*B [Lemma 6.3]"
         )
     # Through-skeleton estimate, built in place: same adds, same order
-    # as delta(u, c(u)) + delta_GS(c(u), c(v)) + delta(c(v), v).
+    # as delta(u, c(u)) + delta_GS(c(u), c(v)) + delta(c(v), v).  The
+    # column gather is (|S|, n); gathering its rows copies whole
+    # contiguous rows, so eta is the only (n, n) array the step builds.
     center, center_delta = skeleton.center, skeleton.center_delta
-    eta = delta_gs[center][:, center]
+    eta = delta_gs[:, center][center]
     eta += center_delta[:, None]
     eta += center_delta[None, :]
     known_u, known_v, known_delta = skeleton.known
     eta[known_u, known_v] = known_delta
     np.fill_diagonal(eta, 0.0)
-    eta = np.minimum(eta, eta.T)
+    symmetrize_min_inplace(eta)
     factor = 7.0 * l_factor * skeleton.a**2
     return eta, factor
 

@@ -24,7 +24,7 @@ import numpy as np
 from ..cclique.accounting import RoundLedger
 from ..graphs.distances import exact_apsp
 from ..graphs.graph import WeightedGraph
-from ..graphs.validation import symmetrize_min
+from ..graphs.validation import symmetrize_min_inplace
 from ..spanners.logn_approx import logn_bootstrap
 from . import params
 from .factor_reduction import (
@@ -113,7 +113,7 @@ def apsp_small_diameter(
     reductions_done = 0
     with _phase(ledger, "thm7.1/bootstrap"):
         boot = logn_bootstrap(graph, rng, ledger=ledger, alpha=bootstrap_alpha)
-    delta = symmetrize_min(boot.estimate)
+    delta = symmetrize_min_inplace(boot.estimate)
     a = boot.factor
 
     history = [("bootstrap", a)]

@@ -14,8 +14,14 @@ that discipline from regressing:
   ``np.ones`` of a square ``(n, n)`` shape inside a loop is the same
   regression in literal form.
 
-Both rules are scoped to ``src/repro`` — benchmarks and tests allocate
-freely on purpose.
+* ``alloc-transpose-minimum`` — ``np.minimum(x, x.T)`` (or
+  ``np.maximum``) reads ``x`` through a strided transpose and allocates
+  a second ``(n, n)`` array; call ``symmetrize_min_inplace`` (or
+  ``symmetrize_min`` when the input must survive) from
+  ``repro.graphs.validation``, the one module that may spell it out.
+
+All three rules are scoped to ``src/repro`` — benchmarks and tests
+allocate freely on purpose.
 """
 
 from __future__ import annotations
@@ -107,6 +113,48 @@ def check_dense_temp_in_loop(ctx: LintContext) -> List[Finding]:
             "alloc-dense-temp-in-loop",
             f"{name}((n, n)) inside a loop allocates a dense square "
             "temporary every iteration; hoist the buffer out of the loop",
+        )
+        if finding:
+            findings.append(finding)
+    return findings
+
+
+#: Entrywise extrema the transpose rule watches.
+_EXTREMA = {"np.minimum", "np.maximum", "numpy.minimum", "numpy.maximum"}
+
+
+def _is_transpose_of(candidate: ast.expr, base: ast.expr) -> bool:
+    """Whether ``candidate`` is ``base.T``."""
+    return (
+        isinstance(candidate, ast.Attribute)
+        and candidate.attr == "T"
+        and ast.dump(candidate.value) == ast.dump(base)
+    )
+
+
+@register_rule(
+    "alloc-transpose-minimum",
+    family="allocation",
+    summary="np.minimum/np.maximum of a matrix and its own transpose",
+    exclude=("src/repro/graphs/validation.py",),
+)
+def check_transpose_minimum(ctx: LintContext) -> List[Finding]:
+    findings: List[Finding] = []
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = call_name(node)
+        if name not in _EXTREMA or len(node.args) < 2:
+            continue
+        first, second = node.args[:2]
+        if not (_is_transpose_of(second, first) or _is_transpose_of(first, second)):
+            continue
+        finding = ctx.finding(
+            node,
+            "alloc-transpose-minimum",
+            f"{name}(x, x.T) reads x through a strided transpose and "
+            "allocates a second (n, n) array; use symmetrize_min_inplace "
+            "(or symmetrize_min) from repro.graphs.validation",
         )
         if finding:
             findings.append(finding)

@@ -34,9 +34,9 @@ import numpy as np
 from ..api import (
     MATRIX_ENCODINGS,
     ArtifactIntegrityError,
+    _check_estimate,
+    _decode_matrix,
     _jsonable,
-    _matrix_from_b64,
-    _matrix_from_jsonable,
     _matrix_to_b64,
     _matrix_to_jsonable,
 )
@@ -80,30 +80,6 @@ def _check_forwarding(next_hop: np.ndarray, hop_weight: np.ndarray) -> None:
         raise ArtifactIntegrityError(
             f"hop_weight[{u}, {t}] = {float(hop_weight[u, t])} is negative on "
             f"a live hop ({len(negative)} bad entries)"
-        )
-
-
-def _check_estimate(estimate: np.ndarray) -> None:
-    """Reject an estimate no graph has: a negative or NaN entry, or a
-    nonzero diagonal.  ``inf`` stays legal (unreachable pairs).  Scans in
-    row blocks, so a memmap-backed estimate is never read whole."""
-    n = estimate.shape[0]
-    step = max(1, (1 << 22) // max(n, 1))
-    for start in range(0, n, step):
-        block = np.asarray(estimate[start:start + step])
-        bad = np.argwhere(np.isnan(block) | (block < 0))
-        if bad.size:
-            u, v = int(bad[0][0]), int(bad[0][1])
-            raise ArtifactIntegrityError(
-                f"estimate[{start + u}, {v}] = {float(block[u, v])} is not a "
-                f"distance: entries must be >= 0 and not NaN"
-            )
-    off = np.flatnonzero(np.diagonal(estimate) != 0)
-    if off.size:
-        u = int(off[0])
-        raise ArtifactIntegrityError(
-            f"estimate[{u}, {u}] = {float(estimate[u, u])}: the diagonal must "
-            f"be 0 ({off.size} bad entries)"
         )
 
 
@@ -489,24 +465,6 @@ class DistanceOracle:
         clone = DistanceOracle(meta=dict(self.meta), **arrays)
         weakref.finalize(clone, rmtree, target, ignore_errors=True)
         return clone
-
-
-def _decode_matrix(payload: Any, dtype: np.dtype) -> np.ndarray:
-    """Decode either codec into a fresh array of ``dtype``.
-
-    A b64 record must carry ``dtype`` itself; a ragged list raises
-    :class:`ArtifactIntegrityError` rather than numpy's bare error.
-    """
-    if isinstance(payload, Mapping):
-        return _matrix_from_b64(payload, dtype.str)
-    try:
-        if dtype.kind == "i":
-            out = np.asarray(payload, dtype=dtype)
-        else:
-            out = _matrix_from_jsonable(payload)
-    except (TypeError, ValueError) as error:
-        raise ArtifactIntegrityError(f"malformed list matrix: {error}") from error
-    return np.ascontiguousarray(out, dtype=dtype)
 
 
 __all__ = [

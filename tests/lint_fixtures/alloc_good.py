@@ -34,3 +34,12 @@ def rectangular_temp(n, m, rounds):
         chunk = np.zeros((n, m))
         chunk += 1.0
     return n
+
+
+def other_operand_transposed(a, b):
+    # Only a matrix against its own transpose is the symmetrize pattern.
+    return np.minimum(a, b.T)
+
+
+def elementwise_minimum(a, b):
+    return np.minimum(a, b)

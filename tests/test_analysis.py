@@ -18,7 +18,9 @@ from repro.graphs import (
     check_estimate,
     is_symmetric,
     symmetrize_min,
+    symmetrize_min_inplace,
 )
+from repro.graphs.validation import SYMMETRIZE_TILE as TILE
 
 
 class TestCheckEstimate:
@@ -105,6 +107,58 @@ class TestSymmetry:
         m = np.array([[0.0, 5.0], [3.0, 0.0]])
         s = symmetrize_min(m)
         assert s[0, 1] == 3.0 and s[1, 0] == 3.0
+
+
+def _bitwise_equal(got, want):
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.int64), want.view(np.int64)
+    )
+
+
+def _special_values(n, rng):
+    """Random distances with inf, NaNs of two payloads and both signed
+    zeros planted at mirrored positions, so every pairing meets."""
+    m = rng.uniform(0.0, 10.0, (n, n))
+    other_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    specials = np.array([np.inf, np.nan, other_nan, 0.0, -0.0, 1.0])
+    rows, cols = rng.integers(0, n, (2, 64))
+    m[rows, cols] = rng.choice(specials, 64)
+    m[cols, rows] = rng.choice(specials, 64)
+    return m
+
+
+class TestSymmetrizeMinInplace:
+    """The tiled in-place minimum is ``np.minimum(m, m.T)``, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3, 1024]
+    )
+    def test_bitwise_equal_to_transpose_minimum(self, n):
+        m = np.random.default_rng(n).uniform(0.0, 100.0, (n, n))
+        want = np.minimum(m, m.T)
+        got = symmetrize_min_inplace(m)
+        assert got is m
+        assert _bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, TILE + 1, 2 * TILE + 3])
+    def test_inf_nan_and_signed_zeros(self, n):
+        m = _special_values(n, np.random.default_rng(7 + n))
+        m[0, 1], m[1, 0] = 0.0, -0.0
+        m[1, 1] = np.nan
+        want = np.minimum(m, m.T)
+        assert _bitwise_equal(symmetrize_min_inplace(m), want)
+
+    def test_symmetrize_min_leaves_input_unchanged(self):
+        m = _special_values(2 * TILE + 3, np.random.default_rng(1))
+        before = m.copy()
+        out = symmetrize_min(m)
+        assert out is not m
+        assert _bitwise_equal(m, before)
+        assert _bitwise_equal(out, np.minimum(before, before.T))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            symmetrize_min_inplace(np.zeros((3, 4)))
 
 
 class TestStretchProfile:

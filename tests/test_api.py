@@ -296,6 +296,26 @@ class TestApspResultJson:
         with pytest.raises(ArtifactIntegrityError, match=match):
             ApspResult.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("encoding", ["list", "b64"])
+    def test_declared_n_must_match_estimate(self, encoding):
+        payload = json.loads(self.solve_one().to_json(matrix_encoding=encoding))
+        payload["n"] = 99
+        with pytest.raises(ArtifactIntegrityError, match="declares n = 99"):
+            ApspResult.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("encoding", ["list", "b64"])
+    def test_negative_estimate_entry_rejected(self, encoding):
+        result = self.solve_one()
+        result.estimate[2, 5] = -4.0
+        with pytest.raises(ArtifactIntegrityError, match=r"estimate\[2, 5\] = -4.0"):
+            ApspResult.from_json(result.to_json(matrix_encoding=encoding))
+
+    def test_ragged_list_row_rejected(self):
+        payload = json.loads(self.solve_one().to_json(matrix_encoding="list"))
+        payload["estimate"][3] = payload["estimate"][3][:-1]
+        with pytest.raises(ArtifactIntegrityError, match="malformed list matrix"):
+            ApspResult.from_json(json.dumps(payload))
+
 
 class TestRegistrySweep:
     def test_registry_algorithms_enumerate(self):

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.api import ApspSolver, SolverConfig
 from repro.cclique import RoundLedger
+from repro.core import apsp as apsp_module
 from repro.core import (
     build_hitting_set,
     build_knearest_hopset,
@@ -510,3 +513,57 @@ class TestExtensionSymmetry:
         eta, _ = extend_estimate(skeleton, delta_gs, 1.0)
         assert np.array_equal(eta, eta.T)
         assert np.all(np.diag(eta) == 0.0)
+
+
+@pytest.fixture(scope="module")
+def theorem11_extend_inputs():
+    """The skeleton and inner estimate a seeded theorem11 solve at
+    n = 2048 hands to ``extend_estimate``, and the solve's estimate."""
+    n = 2048
+    graph = erdos_renyi(n, 4.0 / n, make_rng(3))
+    captured = []
+
+    def capture(skeleton, delta_gs, l_factor, ledger=None):
+        captured.append((skeleton, np.array(delta_gs), l_factor))
+        return extend_estimate(skeleton, delta_gs, l_factor, ledger)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(apsp_module, "extend_estimate", capture)
+        result = ApspSolver(SolverConfig(variant="theorem11", seed=3)).solve(graph)
+    assert len(captured) == 1
+    return (*captured[0], result.estimate)
+
+
+class TestExtendAtScale:
+    """Theorem 1.1's extend step on a real n = 2048 skeleton."""
+
+    def test_bit_identical_to_reference(self, theorem11_extend_inputs):
+        skeleton, delta_gs, l_factor, solved = theorem11_extend_inputs
+        n = len(skeleton.center)
+        known = np.full((n, n), INF)
+        u, v, delta = skeleton.known
+        known[u, v] = delta
+        want = reference_extend_estimate(
+            skeleton.center, skeleton.center_delta, known, delta_gs
+        )
+        del known
+        eta, _ = extend_estimate(skeleton, delta_gs, l_factor)
+        assert np.array_equal(eta.view(np.int64), want.view(np.int64))
+        assert np.array_equal(eta, solved)
+
+    def test_peak_memory_is_one_dense_matrix(self, theorem11_extend_inputs):
+        """eta is the only (n, n) array: the traced peak is one n x n
+        float64 matrix (with 10% slack) plus O(n |S|) for the gather."""
+        skeleton, delta_gs, l_factor, _ = theorem11_extend_inputs
+        n, size = len(skeleton.center), skeleton.num_nodes
+        tracemalloc.start()
+        try:
+            eta, _ = extend_estimate(skeleton, delta_gs, l_factor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 1.1 * n * n * 8 + 2 * n * size * 8
+        assert peak <= bound, (
+            f"extend peak {peak / 2**20:.1f} MiB exceeds {bound / 2**20:.1f} "
+            f"MiB (eta alone is {eta.nbytes / 2**20:.1f} MiB)"
+        )

@@ -58,6 +58,7 @@ class TestRuleRegistry:
             "conc-blocking-in-lock", "conc-global-mutation",
             "json-nan-leak",
             "alloc-no-out-in-loop", "alloc-dense-temp-in-loop",
+            "alloc-transpose-minimum",
             "reg-variant-metadata", "reg-bench-tag",
         }
 
@@ -172,6 +173,19 @@ class TestAllocationFixtures:
     def test_out_of_scope_in_benchmarks(self):
         # Benchmarks allocate freely on purpose.
         findings = lint_fixture("alloc_bad.py", "benchmarks/bench_fixture.py")
+        assert findings == []
+
+    def test_transpose_minimum_corpus(self):
+        findings = lint_fixture(
+            "alloc_transpose_bad.py", "src/repro/core/fixture.py"
+        )
+        assert [f.rule for f in findings] == ["alloc-transpose-minimum"] * 4
+        assert "symmetrize_min_inplace" in findings[0].message
+
+    def test_transpose_minimum_allowed_in_helper_module(self):
+        findings = lint_fixture(
+            "alloc_transpose_bad.py", "src/repro/graphs/validation.py"
+        )
         assert findings == []
 
 
