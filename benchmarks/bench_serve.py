@@ -11,10 +11,11 @@ synthetic closed-loop load (see :func:`repro.serve.run_closed_loop`):
 
 * **Throughput/latency** — p50/p99 latency and queries/sec for both
   paths at >= 3 offered-load levels (concurrent closed-loop clients).
-  At low concurrency the batcher pays its flush deadline and the
-  single path wins — recorded honestly; the acceptance bar is the
+  The batcher flushes as soon as it is idle, so a lone request waits
+  for at most one engine call and no timer; the acceptance bar is the
   micro-batched ``route`` path at >= 5x the single-query throughput at
-  the highest (saturating) load, written to ``BENCH_serve.json``.
+  the highest (saturating) load, written to ``BENCH_serve.json`` with
+  the host and commit it was measured on.
 
 Smoke mode: ``REPRO_BENCH_SMOKE=1`` shrinks the instance and the load
 levels — CI asserts equivalence and the metrics-snapshot JSON
@@ -35,7 +36,7 @@ from repro.analysis import emit, format_table
 from repro.graphs import erdos_renyi
 from repro.serve import OracleService, ServiceConfig, run_closed_loop
 
-from conftest import artifact_path, rng_for
+from conftest import artifact_path, host_fingerprint, rng_for
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 N = 64 if SMOKE else 256
@@ -50,7 +51,7 @@ def build_service():
     rng = rng_for(f"e21:{N}")
     graph = erdos_renyi(N, min(1.0, 8.0 / N), rng)
     service = OracleService(
-        ServiceConfig(max_batch=MAX_BATCH, max_delay_ms=2.0, max_workers=4)
+        ServiceConfig(max_batch=MAX_BATCH, max_workers=4)
     )
     handle = service.warm(graph, variant="small-diameter", seed=7)
     qrng = rng_for(f"e21:queries:{N}")
@@ -195,6 +196,7 @@ def test_serving_tier_identical_and_fast(serve_records, results_sink, benchmark)
         "requests": REQUESTS,
         "max_batch": MAX_BATCH,
         "smoke": SMOKE,
+        "host": host_fingerprint(),
         "mismatches": serve_records["mismatches"],
         "records": serve_records["records"],
         "metrics_snapshot": serve_records["snapshot"],

@@ -4,11 +4,11 @@
 Runs every benchmark plane in ``REPRO_BENCH_SMOKE=1`` mode, then
 validates the ``BENCH_*.json`` artifact each one emits — existence, the
 expected experiment tag, and the plane's own gate (non-empty records,
-bit-identity flags, chaos curves present).  Smoke artifacts go to the
+bit-identity flags, error-free serving, chaos curves present).  Smoke artifacts go to the
 gitignored ``.bench_smoke/`` (``conftest.artifact_path``), so a smoke run
-leaves the committed full-run artifacts untouched.  Any pytest failure or
-artifact regression makes the runner exit non-zero, so one CI step
-covers every plane.
+leaves the committed full-run artifacts untouched.  Any pytest failure,
+suite that runs past ``SUITE_TIMEOUT_S`` or artifact regression makes
+the runner exit non-zero, so one CI step covers every plane.
 
 Usage (from the repository root)::
 
@@ -44,6 +44,21 @@ def _check_pipeline(data: Dict[str, Any]) -> List[str]:
     for record in construction:
         if record.get("identical_to_reference") is False:
             problems.append(f"construction not bit-identical: {record}")
+    return problems
+
+
+def _check_serve(data: Dict[str, Any]) -> List[str]:
+    """E21: both serving paths answer alike and no request errors."""
+    problems = _records_nonempty(data)
+    if data.get("mismatches") != 0:
+        problems.append(f"batched and single answers differ: "
+                        f"mismatches={data.get('mismatches')!r}")
+    for record in data.get("records", []):
+        for path in ("single", "batched"):
+            errors = record[path]["errors"]
+            if errors:
+                problems.append(f"{record['endpoint']} {path} at "
+                                f"{record['clients']} clients: {errors} errors")
     return problems
 
 
@@ -112,18 +127,30 @@ SUITES: List[Tuple[str, str, str, Callable[[Dict[str, Any]], List[str]]]] = [
     ("bench_routing.py", "BENCH_routing.json", "E19-routing",
      _records_nonempty),
     ("bench_query.py", "BENCH_query.json", "E20-query", _records_nonempty),
-    ("bench_serve.py", "BENCH_serve.json", "E21-serve", _records_nonempty),
+    ("bench_serve.py", "BENCH_serve.json", "E21-serve", _check_serve),
     ("bench_chaos.py", "BENCH_chaos.json", "E22-chaos", _check_chaos),
 ]
 
 
-def run_suite(module: str, env: Dict[str, str]) -> bool:
+#: Seconds one smoke suite may run before it counts as hung (the whole
+#: smoke run takes about 30 s).
+SUITE_TIMEOUT_S = 900
+
+
+def run_suite(module: str, env: Dict[str, str]) -> List[str]:
+    """Run one bench module under pytest; the failures, if any."""
     command = [
         sys.executable, "-m", "pytest",
         os.path.join("benchmarks", module), "-q", "--benchmark-disable",
     ]
     print(f"== {module}", flush=True)
-    return subprocess.run(command, cwd=ROOT, env=env).returncode == 0
+    try:
+        completed = subprocess.run(
+            command, cwd=ROOT, env=env, timeout=SUITE_TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return [f"{module}: timed out after {SUITE_TIMEOUT_S} s"]
+    return [] if completed.returncode == 0 else [f"{module}: pytest failed"]
 
 
 def validate_artifact(
@@ -203,8 +230,9 @@ def main() -> int:
     run_lint(env)  # exit code is reflected in the artifact's findings
     failures.extend(validate_lint_artifact(os.path.join(ROOT, LINT_ARTIFACT)))
     for module, artifact, tag, gate in SUITES:
-        if not run_suite(module, env):
-            failures.append(f"{module}: pytest failed")
+        problems = run_suite(module, env)
+        if problems:
+            failures.extend(problems)
             continue
         failures.extend(validate_artifact(artifact, tag, gate))
     if failures:

@@ -3,8 +3,8 @@
 
 Pattern: build/solve ONCE per (graph, variant, seed) — ``warm`` hands
 back a graph-hash-addressed handle — then answer many concurrent point
-queries through :class:`~repro.serve.OracleService`. Concurrent
-requests inside a flush window are coalesced by the
+queries through :class:`~repro.serve.OracleService`. Requests that
+arrive together, or while a flush runs, are coalesced by the
 :class:`~repro.serve.MicroBatcher` into single vectorized engine calls
 (``query_many`` / ``route_batch``), bit-identical to asking one at a
 time, just much faster under load.
@@ -63,7 +63,7 @@ def main(n: int = 96) -> None:
     rng = np.random.default_rng(3)
     graph = erdos_renyi(n, min(1.0, 8.0 / n), rng)
 
-    with OracleService(ServiceConfig(max_batch=64, max_delay_ms=2.0)) as svc:
+    with OracleService(ServiceConfig(max_batch=64)) as svc:
         # warm() solves the workload once and registers the oracle under
         # a deterministic graph-hash handle; warming the same inputs
         # again is a store hit (no re-solve — single-flight even under

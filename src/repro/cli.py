@@ -356,7 +356,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         raise ValueError("--levels must name at least one offered-load level")
     config = ServiceConfig(
         max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
         max_workers=args.workers,
     )
     with OracleService(config) as service:
@@ -409,7 +408,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         print(f"graph   : {graph}")
         print(f"service : warm {warm_seconds * 1e3:.0f} ms, "
               f"max_batch={config.max_batch}, "
-              f"max_delay={config.max_delay_ms:.1f} ms, "
               f"{config.max_workers} workers")
         offered = "clients" if args.mode == "closed" else "req/s"
         print()
@@ -655,9 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--max-batch", type=int, default=64, help="micro-batch size bound"
-    )
-    serve_parser.add_argument(
-        "--max-delay-ms", type=float, default=2.0, help="flush deadline"
     )
     serve_parser.add_argument(
         "--workers", type=int, default=4, help="thread-pool workers"

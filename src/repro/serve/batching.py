@@ -3,16 +3,15 @@
 The query plane (PR 5) made *batches* cheap — ``query_many`` is one
 gather, ``route_batch`` one numpy step per hop for every in-flight
 packet — but a serving front-end receives point queries one ``await``
-at a time.  :class:`MicroBatcher` closes that gap: requests that arrive
-within a flush window ride the same vectorized call.
+at a time.  :class:`MicroBatcher` closes that gap without a timer.
+A batch flushes when either trigger fires:
 
-A batch flushes when either bound trips:
-
-* **size** — the pending list reaches ``max_batch`` (flush now; the
-  deadline timer is cancelled), or
-* **deadline** — ``max_delay_ms`` elapsed since the *first* pending
-  request (bounded worst-case latency: a lone request waits at most one
-  window).
+* **size** — the pending list reaches ``max_batch`` (flush now), or
+* **idle** — a submit that finds none of this batcher's flushes running
+  schedules one flush at the end of the loop tick (``loop.call_soon``),
+  which every request submitted in that tick rides; requests that park
+  while flushes run are scheduled the same way when the last running
+  flush finishes.  A lone request waits for at most one engine call.
 
 The flush function receives the pending payloads as one list, runs on
 the executor (numpy work must not block the event loop), and must
@@ -21,8 +20,9 @@ futures.  An exception fails every request in that batch — item ``i``'s
 result never silently becomes item ``j``'s.
 
 Single event loop: a batcher instance serves one running loop at a time
-(futures and timers belong to the submitting loop).  Sequential
-``asyncio.run`` blocks are fine — each run drains its own submissions.
+(futures and scheduled flushes belong to the submitting loop).
+Sequential ``asyncio.run`` blocks are fine — each run drains its own
+submissions.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class BatcherStats:
     completed: int = 0
     flushes: int = 0
     size_flushes: int = 0
-    deadline_flushes: int = 0
+    idle_flushes: int = 0
     drain_flushes: int = 0
     errors: int = 0
     cancelled: int = 0
@@ -61,7 +61,8 @@ class BatcherStats:
             "completed": self.completed,
             "flushes": self.flushes,
             "size_flushes": self.size_flushes,
-            "deadline_flushes": self.deadline_flushes,
+            "idle_flushes": self.idle_flushes,
+            "deadline_flushes": 0,  # no timer; perfbench/run.py reads it
             "drain_flushes": self.drain_flushes,
             "errors": self.errors,
             "cancelled": self.cancelled,
@@ -89,21 +90,19 @@ class MicroBatcher:
         self,
         flush: FlushFn,
         max_batch: int = 32,
-        max_delay_ms: float = 2.0,
         executor: Optional[Any] = None,
         on_flush: Optional[Callable[[int], None]] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
         self._flush = flush
         self.max_batch = int(max_batch)
-        self.max_delay_ms = float(max_delay_ms)
         self._executor = executor
         self._on_flush = on_flush
         self._pending: List[_Pending] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
+        #: An idle flush is queued with ``call_soon`` and has not run yet.
+        self._scheduled = False
+        #: Flushes launched and not yet finished.
         self._inflight: Set["asyncio.Task[None]"] = set()
         self.stats = BatcherStats()
 
@@ -120,35 +119,49 @@ class MicroBatcher:
         self.stats.submitted += 1
         if len(self._pending) >= self.max_batch:
             self._launch(loop, "size")
-        elif self._timer is None:
-            self._timer = loop.call_later(
-                self.max_delay_ms / 1000.0, self._deadline, loop
-            )
+        elif not self._inflight:
+            self._schedule(loop)
         return await future
 
-    def _deadline(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._timer = None
+    def _schedule(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Flush what is pending once the current loop tick ends."""
+        if not self._scheduled:
+            self._scheduled = True
+            loop.call_soon(self._flush_idle, loop)
+
+    def _flush_idle(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._scheduled = False
         if self._pending:
-            self._launch(loop, "deadline")
+            self._launch(loop, "idle")
 
     def _launch(self, loop: asyncio.AbstractEventLoop, reason: str) -> None:
         """Detach the pending list and start one flush task over it."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         batch, self._pending = self._pending, []
         self.stats.flushes += 1
         if reason == "size":
             self.stats.size_flushes += 1
-        elif reason == "deadline":
-            self.stats.deadline_flushes += 1
+        elif reason == "idle":
+            self.stats.idle_flushes += 1
         else:
             self.stats.drain_flushes += 1
         if len(batch) > self.stats.max_batch_seen:
             self.stats.max_batch_seen = len(batch)
         task = loop.create_task(self._run(batch))
         self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        task.add_done_callback(self._finished)
+
+    def _finished(self, task: "asyncio.Task[None]") -> None:
+        """Retire one flush; the last one out schedules the parked rest.
+
+        Done callbacks run one at a time, so of two flushes ending in one
+        tick exactly one sees the set empty (a check inside ``_run``
+        would see both still in it).  The waiters this flush resolved
+        woke before this callback, so what they submit next joins the
+        parked requests.
+        """
+        self._inflight.discard(task)
+        if not self._inflight and self._pending:
+            self._schedule(task.get_loop())
 
     async def _run(self, batch: List[_Pending]) -> None:
         loop = asyncio.get_running_loop()
@@ -187,9 +200,6 @@ class MicroBatcher:
         """
         loop = asyncio.get_running_loop()
         while self._pending or self._inflight:
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = None
             if self._pending:
                 self._launch(loop, "drain")
             if self._inflight:
@@ -202,14 +212,12 @@ class MicroBatcher:
 
         The shutdown path for callers that cannot ``await drain()`` (no
         running loop — e.g. a service ``close()`` after its event loop
-        exited): cancels the deadline timer, detaches the pending list,
-        and cancels each parked future (or fails it with ``exc``).
-        Returns the number of requests failed; they are counted in
-        ``stats.cancelled``.
+        exited): detaches the pending list and cancels each parked
+        future (or fails it with ``exc``).  It also forgets a queued idle
+        flush, which a closed loop will never run.  Returns the number of
+        requests failed; they are counted in ``stats.cancelled``.
         """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._scheduled = False
         batch, self._pending = self._pending, []
         failed = 0
         for item in batch:

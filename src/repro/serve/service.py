@@ -8,7 +8,7 @@ the concurrency story on top:
 * **request front-end** — ``await service.distance/route/k_nearest``;
   each endpoint rides a per-``(tenant, oracle, endpoint)``
   :class:`~repro.serve.batching.MicroBatcher`, so point queries that
-  arrive within one flush window coalesce into a single
+  arrive in one loop tick, or while a flush runs, coalesce into a single
   ``query_many`` / ``route_batch`` / ``k_smallest_in_rows`` call.
   Results are bit-identical to the single-query path (the per-item
   semantics of every engine call are independent of batch membership) —
@@ -83,7 +83,8 @@ def oracle_handle(
 class ServiceConfig:
     """Knobs of one :class:`OracleService` (all bounds are per tenant).
 
-    ``max_batch`` / ``max_delay_ms`` shape the micro-batching window;
+    ``max_batch`` caps one micro-batch (smaller batches flush as soon
+    as the batcher is idle);
     ``max_workers`` sizes the thread-pool backend; ``max_tenants``
     caps admission; ``store_max_entries`` / ``store_max_bytes`` bound
     each tenant's oracle store.
@@ -101,7 +102,6 @@ class ServiceConfig:
     """
 
     max_batch: int = 64
-    max_delay_ms: float = 2.0
     max_workers: int = 4
     max_tenants: int = 8
     store_max_entries: int = 8
@@ -116,8 +116,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if self.max_tenants < 1:
@@ -132,7 +130,6 @@ class ServiceConfig:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "max_batch": self.max_batch,
-            "max_delay_ms": self.max_delay_ms,
             "max_workers": self.max_workers,
             "max_tenants": self.max_tenants,
             "store_max_entries": self.store_max_entries,
@@ -395,7 +392,6 @@ class OracleService:
             batcher = MicroBatcher(
                 partial(self._execute, endpoint, tenant, handle),
                 max_batch=self.config.max_batch,
-                max_delay_ms=self.config.max_delay_ms,
                 executor=self._executor,
                 on_flush=partial(self.metrics.record_batch, endpoint),
             )
@@ -420,8 +416,7 @@ class OracleService:
         if endpoint == "distance":
             sources = np.array([p[0] for p in payloads], dtype=np.int64)
             targets = np.array([p[1] for p in payloads], dtype=np.int64)
-            values = oracle.query_many(sources, targets)
-            return [float(v) for v in values]
+            return oracle.query_many(sources, targets).tolist()
         if endpoint == "route":
             sources = np.array([p[0] for p in payloads], dtype=np.int64)
             targets = np.array([p[1] for p in payloads], dtype=np.int64)
@@ -437,11 +432,10 @@ class OracleService:
             for k, entries in by_k.items():
                 nodes = [node for _, node in entries]
                 ids, dists = oracle.k_nearest(k, sources=nodes)
-                for row, (position, _) in enumerate(entries):
-                    results[position] = {
-                        "ids": [int(v) for v in ids[row]],
-                        "dists": [float(d) for d in dists[row]],
-                    }
+                for (position, _), id_row, dist_row in zip(
+                    entries, ids.tolist(), dists.tolist()
+                ):
+                    results[position] = {"ids": id_row, "dists": dist_row}
             return results
         raise ValueError(f"unknown endpoint {endpoint!r}; one of {ENDPOINTS}")
 

@@ -211,6 +211,11 @@ class TestCommands:
             main(["serve-bench", "--n", "24", "--levels", ",",
                   "--variant", "spanner-only"])
 
+    def test_serve_bench_has_no_flush_deadline(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-bench", "--max-delay-ms", "2"])
+        assert excinfo.value.code == 2
+
 
 class TestChaosCommand:
     def test_list_prints_registry(self, capsys):

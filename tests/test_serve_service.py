@@ -7,7 +7,7 @@ import asyncio
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -157,18 +157,52 @@ class TestStoreConcurrency:
 # ---------------------------------------------------------------------- #
 
 
+def held_flush(log=None):
+    """A flush that blocks on a ``threading.Event`` until the test sets it.
+
+    Returns ``(flush, gate)``.  Set ``gate`` in a ``finally``: a flush
+    still blocked when the loop closes hangs the executor shutdown.
+    """
+    gate = threading.Event()
+
+    def flush(items):
+        if log is not None:
+            log.append(list(items))
+        gate.wait(5)
+        return items
+
+    return flush, gate
+
+
+async def until_flushing(batcher):
+    """Yield to the loop until ``batcher`` has launched a flush."""
+    while not batcher.stats.flushes:
+        await asyncio.sleep(0)
+
+
+class InlineExecutor(Executor):
+    """Runs each flush at once on the loop thread.
+
+    Flushes launched in one tick then also finish in one tick, which is
+    the order that exposes a lost wake-up.
+    """
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 class TestMicroBatcher:
     def test_flush_on_size(self):
-        """max_batch concurrent submits flush immediately, not on deadline."""
+        """max_batch concurrent submits flush at once, as one size flush."""
         flushed = []
 
         def flush(items):
             flushed.append(list(items))
             return [i * 10 for i in items]
 
-        # A deadline far beyond the test's patience: results arriving at
-        # all proves the size trigger fired.
-        batcher = MicroBatcher(flush, max_batch=4, max_delay_ms=60_000)
+        batcher = MicroBatcher(flush, max_batch=4)
 
         async def main():
             return await asyncio.gather(*(batcher.submit(i) for i in range(4)))
@@ -177,38 +211,97 @@ class TestMicroBatcher:
         assert results == [0, 10, 20, 30]
         assert flushed == [[0, 1, 2, 3]]
         assert batcher.stats.size_flushes == 1
-        assert batcher.stats.deadline_flushes == 0
+        assert batcher.stats.idle_flushes == 0
         assert batcher.stats.max_batch_seen == 4
 
-    def test_flush_on_deadline(self):
-        """A partial batch flushes when max_delay_ms elapses."""
+    def test_lone_submit_flushes_without_timer(self):
+        """An idle batcher flushes a lone request at the end of the tick."""
+        batcher = MicroBatcher(lambda items: items, max_batch=100)
+
+        async def main():
+            return await batcher.submit("a")
+
+        assert asyncio.run(asyncio.wait_for(main(), timeout=5)) == "a"
+        snapshot = batcher.stats.snapshot()
+        assert snapshot["idle_flushes"] == 1
+        assert snapshot["flushes"] == 1
+        assert snapshot["deadline_flushes"] == 0
+
+    def test_submits_in_one_tick_share_one_flush(self):
         flushed = []
 
         def flush(items):
             flushed.append(list(items))
             return items
 
-        batcher = MicroBatcher(flush, max_batch=100, max_delay_ms=10)
+        batcher = MicroBatcher(flush, max_batch=100)
 
         async def main():
-            start = time.perf_counter()
-            results = await asyncio.gather(
-                batcher.submit("a"), batcher.submit("b")
+            return await asyncio.gather(
+                *(batcher.submit(i) for i in range(5))
             )
-            return results, time.perf_counter() - start
 
-        results, elapsed = asyncio.run(main())
-        assert results == ["a", "b"]
-        assert flushed == [["a", "b"]]
-        assert elapsed >= 0.008  # waited for the window, not the size bound
-        assert batcher.stats.deadline_flushes == 1
-        assert batcher.stats.size_flushes == 0
+        assert asyncio.run(asyncio.wait_for(main(), timeout=5)) == [
+            0, 1, 2, 3, 4
+        ]
+        assert flushed == [[0, 1, 2, 3, 4]]
+        assert batcher.stats.idle_flushes == 1
+
+    def test_parked_requests_launch_when_held_flush_completes(self):
+        flushed = []
+        flush, gate = held_flush(flushed)
+        batcher = MicroBatcher(flush, max_batch=100)
+
+        async def main():
+            try:
+                first = asyncio.ensure_future(batcher.submit("a"))
+                await until_flushing(batcher)
+                parked = [asyncio.ensure_future(batcher.submit(x))
+                          for x in ("b", "c")]
+                await asyncio.sleep(0)
+                assert batcher.pending == 2  # parked behind the held flush
+                assert batcher.stats.flushes == 1
+            finally:
+                gate.set()
+            assert await first == "a"
+            assert await asyncio.gather(*parked) == ["b", "c"]
+
+        asyncio.run(asyncio.wait_for(main(), timeout=5))
+        assert flushed == [["a"], ["b", "c"]]
+        assert batcher.stats.idle_flushes == 2
+
+    def test_parked_rest_flushed_when_two_flushes_end_in_one_tick(self):
+        """Lost wake-up: neither of two flushes ending in one tick may
+        assume the other is still running."""
+        flushed = []
+
+        def flush(items):
+            flushed.append(list(items))
+            return items
+
+        batcher = MicroBatcher(flush, max_batch=2, executor=InlineExecutor())
+
+        async def main():
+            sized = [asyncio.ensure_future(batcher.submit(i))
+                     for i in range(4)]
+            await asyncio.sleep(0)  # two size flushes launched
+            assert batcher.stats.size_flushes == 2
+            rest = asyncio.ensure_future(batcher.submit(4))
+            await asyncio.sleep(0)  # parked: both flushes still running
+            assert batcher.pending == 1
+            return await asyncio.gather(*sized, rest)
+
+        assert asyncio.run(asyncio.wait_for(main(), timeout=5)) == [
+            0, 1, 2, 3, 4
+        ]
+        assert flushed == [[0, 1], [2, 3], [4]]
+        assert batcher.stats.idle_flushes == 1
 
     def test_oversubmission_splits_into_size_batches(self):
         def flush(items):
             return [i + 1 for i in items]
 
-        batcher = MicroBatcher(flush, max_batch=8, max_delay_ms=5)
+        batcher = MicroBatcher(flush, max_batch=8)
 
         async def main():
             return await asyncio.gather(
@@ -226,7 +319,7 @@ class TestMicroBatcher:
         def flush(items):
             raise ValueError("boom")
 
-        batcher = MicroBatcher(flush, max_batch=2, max_delay_ms=5)
+        batcher = MicroBatcher(flush, max_batch=2)
 
         async def main():
             return await asyncio.gather(
@@ -238,7 +331,7 @@ class TestMicroBatcher:
         assert batcher.stats.errors == 1
 
     def test_flush_length_mismatch_is_an_error(self):
-        batcher = MicroBatcher(lambda items: [0], max_batch=2, max_delay_ms=5)
+        batcher = MicroBatcher(lambda items: [0], max_batch=2)
 
         async def main():
             return await asyncio.gather(
@@ -255,11 +348,11 @@ class TestMicroBatcher:
             flushed.append(list(items))
             return items
 
-        batcher = MicroBatcher(flush, max_batch=100, max_delay_ms=60_000)
+        batcher = MicroBatcher(flush, max_batch=100)
 
         async def main():
             task = asyncio.ensure_future(batcher.submit("x"))
-            await asyncio.sleep(0)  # enqueue before draining
+            await asyncio.sleep(0)  # enqueued, idle flush not yet run
             await batcher.drain()
             return await task
 
@@ -270,8 +363,6 @@ class TestMicroBatcher:
     def test_validation(self):
         with pytest.raises(ValueError):
             MicroBatcher(lambda x: x, max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda x: x, max_delay_ms=-1)
 
 
 # ---------------------------------------------------------------------- #
@@ -343,7 +434,7 @@ class TestMetrics:
 
 def small_service(**overrides):
     config = dict(
-        max_batch=8, max_delay_ms=1.0, max_workers=2, max_tenants=4
+        max_batch=8, max_workers=2, max_tenants=4
     )
     config.update(overrides)
     return OracleService(ServiceConfig(**config))
@@ -497,7 +588,7 @@ class TestOracleService:
 
     def test_requests_batch_within_window(self):
         graph, estimate = build_case(13)
-        with small_service(max_batch=16, max_delay_ms=5.0) as service:
+        with small_service(max_batch=16) as service:
             handle = service.warm(graph, variant="", seed=0, result=estimate)
 
             async def main():
@@ -550,6 +641,12 @@ class TestOracleService:
             ServiceConfig(max_batch=0)
         with pytest.raises(ValueError):
             ServiceConfig(max_tenants=0)
+
+    def test_max_delay_knob_is_gone(self):
+        """No flush deadline is left to configure."""
+        with pytest.raises(TypeError):
+            ServiceConfig(max_delay_ms=2.0)
+        assert "max_delay_ms" not in ServiceConfig().to_dict()
 
     def test_oracle_handle_includes_t(self):
         graph, _ = build_case(16)
@@ -706,45 +803,73 @@ class TestTimeoutRetry:
 
 class TestShutdownFanout:
     def test_fail_pending_cancels_parked_futures(self):
-        batcher = MicroBatcher(lambda items: items, max_batch=100,
-                               max_delay_ms=60_000)
+        flush, gate = held_flush()
+        batcher = MicroBatcher(flush, max_batch=100)
 
         async def main():
-            task = asyncio.ensure_future(batcher.submit("x"))
-            await asyncio.sleep(0)  # parked, deadline far away
-            assert batcher.fail_pending() == 1
+            try:
+                first = asyncio.ensure_future(batcher.submit("first"))
+                await until_flushing(batcher)
+                task = asyncio.ensure_future(batcher.submit("x"))
+                await asyncio.sleep(0)  # parked behind the held flush
+                assert batcher.fail_pending() == 1
+            finally:
+                gate.set()
             with pytest.raises(asyncio.CancelledError):
                 await task
+            assert await first == "first"
 
         asyncio.run(asyncio.wait_for(main(), timeout=5))
         assert batcher.stats.cancelled == 1
         assert batcher.pending == 0
 
     def test_fail_pending_with_explicit_exception(self):
-        batcher = MicroBatcher(lambda items: items, max_batch=100,
-                               max_delay_ms=60_000)
+        flush, gate = held_flush()
+        batcher = MicroBatcher(flush, max_batch=100)
 
         async def main():
-            task = asyncio.ensure_future(batcher.submit("x"))
-            await asyncio.sleep(0)
-            batcher.fail_pending(RuntimeError("shutting down"))
+            try:
+                first = asyncio.ensure_future(batcher.submit("first"))
+                await until_flushing(batcher)
+                task = asyncio.ensure_future(batcher.submit("x"))
+                await asyncio.sleep(0)
+                batcher.fail_pending(RuntimeError("shutting down"))
+            finally:
+                gate.set()
             with pytest.raises(RuntimeError, match="shutting down"):
                 await task
+            assert await first == "first"
 
         asyncio.run(asyncio.wait_for(main(), timeout=5))
 
     def test_close_fails_requests_parked_at_close_time(self):
         graph, estimate = build_case(12)
-        # A window so long the deadline never fires during the test.
-        service = small_service(max_batch=64, max_delay_ms=60_000.0)
+        service = small_service(max_batch=64)
         handle = service.warm(graph, variant="", seed=0, result=estimate)
+        gate, started = threading.Event(), threading.Event()
+        execute = service._execute
+
+        def held_execute(*args):
+            started.set()
+            gate.wait(5)
+            return execute(*args)
+
+        service._execute = held_execute  # batchers bind it on first use
 
         async def main():
-            task = asyncio.ensure_future(service.distance(handle, 0, 1))
-            await asyncio.sleep(0)  # parked in the batcher, never flushed
+            try:
+                first = asyncio.ensure_future(service.distance(handle, 0, 1))
+                while not started.is_set():
+                    await asyncio.sleep(0.001)
+                task = asyncio.ensure_future(service.distance(handle, 2, 3))
+                await asyncio.sleep(0)  # parked behind the held flush
+            finally:
+                # Release before close(): it joins the executor threads.
+                gate.set()
             service.close()
             with pytest.raises(asyncio.CancelledError):
                 await task
+            assert await first == float(estimate[0, 1])
 
         asyncio.run(asyncio.wait_for(main(), timeout=5))
         counters = service.metrics.snapshot()["counters"]
@@ -753,22 +878,27 @@ class TestShutdownFanout:
     def test_drain_flushes_request_parked_during_final_flush(self):
         # Regression: a submit that parks while drain() awaits the last
         # in-flight batch must still be flushed before drain returns.
-        batcher = MicroBatcher(lambda items: items, max_batch=100,
-                               max_delay_ms=60_000)
+        flush, gate = held_flush()
+        batcher = MicroBatcher(flush, max_batch=100)
 
         async def main():
-            first = asyncio.ensure_future(batcher.submit("a"))
-            await asyncio.sleep(0)
-            drainer = asyncio.ensure_future(batcher.drain())
-            await asyncio.sleep(0)  # drain launched the first flush
-            second = asyncio.ensure_future(batcher.submit("b"))
+            try:
+                first = asyncio.ensure_future(batcher.submit("a"))
+                await until_flushing(batcher)
+                drainer = asyncio.ensure_future(batcher.drain())
+                await asyncio.sleep(0)  # drain awaits the held flush
+                second = asyncio.ensure_future(batcher.submit("b"))
+                await asyncio.sleep(0)
+                assert batcher.pending == 1  # parked during the flush
+            finally:
+                gate.set()
             await drainer
+            assert batcher.stats.completed == 2
+            assert batcher.pending == 0
             assert await first == "a"
             assert await second == "b"
 
         asyncio.run(asyncio.wait_for(main(), timeout=5))
-        assert batcher.stats.completed == 2
-        assert batcher.pending == 0
 
 
 class TestMetricsFiniteGuard:
