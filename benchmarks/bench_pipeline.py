@@ -11,13 +11,14 @@ Two claims are regenerated here:
   (CSR-view Baswana–Sen spanner, batched-dijkstra hopset) beats the
   pre-PR per-vertex dict implementations (frozen below as references) by
   >= 3x / >= 2x at n = 512, the acceptance bar of the layer;
-* **k-nearest speedup** — the row-sparse (k + k²)-candidate hop merge of
-  ``knearest_iterated`` against the frozen dense filtered power
-  (``knearest_iterated_reference``) on Theorem 1.1's first stage at
-  n = 2048 (Erdős–Rényi, p = 4/n): bit-identical rows, >= 2.2x faster.
-  The record also times ``knearest_exact`` (``csr_s``), the CSR ball
-  growth the first stage runs, and its ``identical_to_reference`` flag
-  covers both;
+* **k-nearest speedup** — ``knearest_exact``, the CSR ball growth
+  Theorem 1.1's first stage runs, against Lemma 5.2's dense filtered
+  power (``knearest_iterated``) at n = 2048 (Erdős–Rényi, p = 4/n):
+  bit-identical rows, >= 2.2x faster;
+* **k-nearest via hopset** — ``knearest_exact_via_hopset``, the same
+  ball growth on Lemma 3.3's ``G ∪ H``, against ``knearest_iterated`` on
+  the union's matrix, on the canonicalisation record's heavy-tail
+  ``G ∪ H`` at n = 1024: bit-identical rows;
 * **canonicalisation** — the single int64-key sorts of ``min_dedup_edges``
   and ``group_argmin`` plus the array-native Lemma 8.1 ``G_i`` against the
   frozen three-key lexsorts and the per-edge triple-list construction,
@@ -53,13 +54,13 @@ from repro.core import (
     build_skeleton,
     extend_estimate,
     knearest_exact,
+    knearest_exact_via_hopset,
     knearest_iterated,
     params,
     plan_scaling,
     run_variant,
 )
 from repro.core.hopsets import _local_dijkstra
-from repro.core.knearest import knearest_iterated_reference
 from repro.graphs import (
     WeightedGraph,
     erdos_renyi,
@@ -72,7 +73,7 @@ from repro.semiring import INF, sparse_minplus
 from repro.semiring.minplus import k_smallest_in_rows
 from repro.spanners import baswana_sengupta_spanner, spanner_edge_bound
 
-from conftest import artifact_path, rng_for, workload
+from conftest import artifact_path, host_fingerprint, rng_for, workload
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SIZES = (96,) if SMOKE else (128, 256, 512)
@@ -397,42 +398,80 @@ def measure_construction() -> List[Dict]:
     )
     records.append(measure_knearest(SIZES[0] if SMOKE else KNEAREST_N))
     records.append(measure_canonicalisation(SIZES[0] if SMOKE else CANONICAL_N))
+    records.append(measure_knearest_hopset(SIZES[0] if SMOKE else CANONICAL_N))
     records.append(measure_skeleton(SIZES[0] if SMOKE else KNEAREST_N))
     return records
 
 
 def measure_knearest(n: int) -> Dict:
-    """Row-sparse k-nearest and CSR ball growth vs the dense filtered power.
+    """CSR ball growth vs Lemma 5.2's dense filtered power.
 
-    ``vectorized_s`` times the hop merge of ``knearest_iterated``;
-    ``csr_s`` times ``knearest_exact``, which Theorem 1.1's first stage
-    runs, on the graph itself.  Both must equal the dense reference.
+    ``vectorized_s`` times ``knearest_exact``, which Theorem 1.1's first
+    stage runs, on the graph itself; ``reference_s`` times
+    ``knearest_iterated`` on its matrix.  Both must agree bit for bit.
     """
     graph = erdos_renyi(n, 4.0 / n, rng_for(f"pipeline:knearest:{n}"))
-    matrix = graph.matrix()
     k = params.theorem11_k0(n)
     h, i = params.choose_hop_schedule(n, k)
-    sparse_s = best_of(lambda: knearest_iterated(matrix, k, h, i))
-    csr_s = best_of(lambda: knearest_exact(graph, k, h, i))
-    # The dense reference takes seconds at n = 2048: one timed run.
+    return _versus_dense(
+        f"knearest (Lemma 5.2, k={k}, h={h}, i={i})",
+        lambda: knearest_exact(graph, k, h, i),
+        graph.matrix(), k, h, i,
+    )
+
+
+def _versus_dense(
+    phase: str, grow, matrix: np.ndarray, k: int, h: int, i: int
+) -> Dict:
+    """A construction record: ``grow()`` against ``knearest_iterated``.
+
+    The dense filtered power takes seconds at these sizes: one timed run.
+    """
     start = time.perf_counter()
-    reference = knearest_iterated_reference(matrix, k, h, i)
+    reference = knearest_iterated(matrix, k, h, i)
     dense_s = time.perf_counter() - start
-    results = [knearest_iterated(matrix, k, h, i), knearest_exact(graph, k, h, i)]
+    got = grow()
+    grow_s = best_of(grow)
     return {
-        "phase": f"knearest (Lemma 5.2, k={k}, h={h}, i={i})",
-        "n": n,
+        "phase": phase,
+        "n": len(matrix),
         "reference_s": dense_s,
-        "vectorized_s": sparse_s,
-        "speedup": dense_s / sparse_s,
-        "csr_s": csr_s,
-        "csr_speedup": dense_s / csr_s,
-        "identical_to_reference": all(
-            np.array_equal(r.indices, reference.indices)
-            and np.array_equal(r.values, reference.values)
-            for r in results
+        "vectorized_s": grow_s,
+        "speedup": dense_s / grow_s,
+        "identical_to_reference": bool(
+            np.array_equal(got.indices, reference.indices)
+            and np.array_equal(got.values, reference.values)
         ),
     }
+
+
+def _canonical_union(n: int):
+    """Theorem 8.1's benchmark input: a heavy-tail Erdős–Rényi graph
+    (p = 8/n), a 2-approximation ``delta``, its Lemma 3.2 hopset and
+    ``G ∪ H``, plus the generator for what the caller draws next."""
+    rng = rng_for(f"pipeline:canonical:{n}")
+    graph = erdos_renyi(n, 8.0 / n, rng, weights=heavy_tail_weights())
+    delta = exact_apsp(graph) * 2.0
+    np.fill_diagonal(delta, 0.0)
+    hopset = build_knearest_hopset(graph, delta, 2.0)
+    return rng, graph, delta, hopset, hopset.augmented(graph)
+
+
+def measure_knearest_hopset(n: int) -> Dict:
+    """Lemma 3.3's ball growth on ``G ∪ H`` vs the dense filtered power.
+
+    The union is the canonicalisation record's; ``k = isqrt(n)`` and
+    ``h = 2`` are Theorem 7.1's final stage, ``i`` the Lemma 3.3 count
+    for the hopset's beta bound.
+    """
+    _, _, _, hopset, union = _canonical_union(n)
+    k, h, beta = max(1, math.isqrt(n)), 2, hopset.beta_bound
+    i = params.knearest_iterations(beta, h)
+    return _versus_dense(
+        f"knearest-hopset (Lemma 3.3, k={k}, h={h}, i={i})",
+        lambda: knearest_exact_via_hopset(union, k, h, beta),
+        union.matrix(), k, h, i,
+    )
 
 
 def measure_canonicalisation(n: int) -> Dict:
@@ -445,12 +484,7 @@ def measure_canonicalisation(n: int) -> Dict:
     cluster of the neighbour), Baswana–Sen style; Lemma 8.1 builds every
     needed ``G_i`` of the union.
     """
-    rng = rng_for(f"pipeline:canonical:{n}")
-    graph = erdos_renyi(n, 8.0 / n, rng, weights=heavy_tail_weights())
-    delta = exact_apsp(graph) * 2.0
-    np.fill_diagonal(delta, 0.0)
-    hopset = build_knearest_hopset(graph, delta, 2.0)
-    union = hopset.augmented(graph)
+    rng, graph, delta, hopset, union = _canonical_union(n)
     csr = union.csr()
     src = np.concatenate([np.repeat(np.arange(n), csr.degrees), graph.edge_u])
     dst = np.concatenate([csr.indices, graph.edge_v])
@@ -606,6 +640,7 @@ def test_pipeline_phase_breakdown(pipeline_records, construction_records,
 
     payload = {
         "experiment": "E18-pipeline",
+        "host": host_fingerprint(),
         "sizes": list(SIZES),
         "smoke": SMOKE,
         "pipelines": [name for name, _ in PIPELINES],
@@ -631,10 +666,12 @@ def test_hopset_batched_path_identical_to_reference(construction_records):
     assert record["identical_to_reference"], record
 
 
-def test_knearest_row_sparse_identical_to_reference(construction_records):
-    """The row-sparse rounds must reproduce the dense filtered power."""
-    record = next(r for r in construction_records if r["phase"].startswith("knearest"))
-    assert record["identical_to_reference"], record
+def test_knearest_balls_identical_to_reference(construction_records):
+    """Both ball-growth entry points reproduce the dense filtered power."""
+    records = [r for r in construction_records if r["phase"].startswith("knearest")]
+    assert len(records) == 2
+    for record in records:
+        assert record["identical_to_reference"], record
 
 
 def test_canonicalisation_identical_to_reference(construction_records):
@@ -683,7 +720,7 @@ def test_construction_speedups_at_512(construction_records):
 
 @pytest.mark.skipif(SMOKE, reason="the speedup ratio needs the n=2048 measurement")
 def test_knearest_speedup_at_2048(construction_records):
-    """Acceptance: the row-sparse k-nearest beats the dense path >= 2.2x."""
-    record = next(r for r in construction_records if r["phase"].startswith("knearest"))
+    """Acceptance: the CSR ball growth beats the dense path >= 2.2x."""
+    record = next(r for r in construction_records if r["phase"].startswith("knearest ("))
     assert record["n"] == KNEAREST_N
     assert record["speedup"] >= 2.2, record

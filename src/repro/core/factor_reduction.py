@@ -106,7 +106,7 @@ def reduce_approximation(
         hopset = build_knearest_hopset(graph, delta, a, ledger=ledger)
         augmented = hopset.augmented(graph)
         knn = knearest_exact_via_hopset(
-            augmented.matrix(),
+            augmented,
             plan.k,
             plan.h,
             hopset.beta_bound,

@@ -9,22 +9,18 @@ yields exact distances to ``N_k(u)`` (Lemma 3.3).
 Executable content:
 
 * the *output* of each round is the filtered power ``filter_k(Ā^h)``
-  (Lemmas 5.4/5.5), computed with
-  :func:`repro.semiring.minplus.hop_merge_row_sparse` — exactly the local
-  computation of the node assigned an h-combination, applied globally.
-  Every hop merges, per row, the row's own k entries with ``w(u, x)``
-  plus the k entries of each filtered neighbour ``x`` (``k + k²``
-  candidates), so a round costs ``O(h·n·k²)``, the output density that
-  [CDKL19] prices, and no ``(n, n)`` matrix is built.  Rounds hand their
-  ``(indices, values)`` rows straight to the next round; only the first
-  filter reads a dense matrix.  :func:`knearest_iterated_reference`,
-  built on the dense Bellman–Ford of ``hop_power_row_sparse``, is the
-  differential-testing target;
-* where Lemma 5.2's output is the exact k nearest (positive weights,
-  ``h^i >= k``: Theorem 1.1's first stage), :func:`knearest_exact`
-  computes it by growing each row's ball from the graph's CSR, with the
-  same round charges; :func:`knearest_iterated` keeps the hop merge for
-  ``G ∪ H`` (Lemma 3.3);
+  (Lemmas 5.4/5.5): :func:`knearest_one_round` and
+  :func:`knearest_iterated` build it densely with
+  :func:`repro.semiring.minplus.filtered_hop_power`, ``O(h·n²·k)`` work
+  per round — the definition, kept for the tests and the message-level
+  protocol;
+* where Lemma 5.2's output is the exact k nearest, the solvers compute it
+  by growing each row's ball from a graph's CSR (:func:`_grow_balls`),
+  with the same round charges and no ``(n, n)`` array:
+  :func:`knearest_exact` on ``G`` for Theorem 1.1's first stage
+  (positive weights, ``h^i >= k``) and :func:`knearest_exact_via_hopset`
+  on ``G ∪ H`` for Lemma 3.3 (the β-hopset makes the ``h^i``-hop answer
+  exact);
 * the *communication structure* — bins, h-combinations, and their counting
   claims (``h * C(p, h) <= n``, bin assignments, the set ``S`` of queried
   nodes) — is implemented in :class:`BinPlan` and validated in tests;
@@ -51,10 +47,8 @@ from ..semiring.minplus import (
     RowSparse,
     _k_smallest_of_candidates,
     filtered_hop_power,
-    hop_merge_row_sparse,
     k_smallest_in_rows,
     memory_budget_from_env,
-    row_sparse_from_dense,
 )
 from . import params
 
@@ -160,22 +154,6 @@ class KNearestResult:
     h: int
     iterations: int
 
-    def to_row_sparse(self, n_cols: int) -> RowSparse:
-        return RowSparse(indices=self.indices, values=self.values, n_cols=n_cols)
-
-    def dense(self, n: int) -> np.ndarray:
-        """Dense (n, n) matrix with inf outside the known entries."""
-        return self.to_row_sparse(n).to_dense()
-
-    def known_mask(self, n: int) -> np.ndarray:
-        """Boolean (n, n) mask of pairs (u, v) with v in the k-nearest set."""
-        mask = np.zeros((n, n), dtype=bool)
-        rows = np.repeat(np.arange(n), self.indices.shape[1])
-        cols = self.indices.ravel()
-        keep = cols >= 0
-        mask[rows[keep], cols[keep]] = True
-        return mask
-
 
 def _charge_one_iteration(ledger: RoundLedger, n: int, k: int, h: int, plan: BinPlan) -> None:
     """Charge the O(1) rounds of one Lemma 5.1 execution.
@@ -215,7 +193,7 @@ def knearest_one_round(
     guarantees they coincide; tests verify it).
     """
     matrix = _checked_input(matrix, k, h, validate)
-    return _knearest_round(row_sparse_from_dense(matrix, k), h, ledger)
+    return _filtered_rounds(matrix, k, h, 1, ledger)
 
 
 def _checked_input(
@@ -241,20 +219,6 @@ def _check_load(n: int, k: int, h: int) -> None:
         )
 
 
-def _knearest_round(
-    filtered: RowSparse, h: int, ledger: Optional[RoundLedger]
-) -> KNearestResult:
-    """One Lemma 5.1 execution on the already filtered matrix ``Ā``."""
-    n, k = filtered.indices.shape
-    plan = make_bin_plan(n, k, h)
-    if ledger is not None:
-        _charge_one_iteration(ledger, n, k, h, plan)
-    rows = hop_merge_row_sparse(filtered, h)
-    return KNearestResult(
-        indices=rows.indices, values=rows.values, k=k, h=h, iterations=1
-    )
-
-
 def knearest_iterated(
     matrix: np.ndarray,
     k: int,
@@ -266,45 +230,34 @@ def knearest_iterated(
 
     Iterates Lemma 5.1: the filtered output of round ``j`` (a matrix with k
     finite entries per row, plus its zero diagonal) is the input of round
-    ``j + 1``.  The rows pass between rounds in row-sparse form.
+    ``j + 1``.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     matrix = _checked_input(matrix, k, h)
-    n = matrix.shape[0]
-    filtered = row_sparse_from_dense(matrix, k)
-    result: Optional[KNearestResult] = None
-    for _ in range(iterations):
-        if result is not None:
-            filtered = result.to_row_sparse(n).with_zero_diagonal()
-        result = _knearest_round(filtered, h, ledger)
-    assert result is not None
-    return KNearestResult(
-        indices=result.indices,
-        values=result.values,
-        k=k,
-        h=h,
-        iterations=iterations,
-    )
+    return _filtered_rounds(matrix, k, h, iterations, ledger)
 
 
-def knearest_iterated_reference(
-    matrix: np.ndarray, k: int, h: int, iterations: int
+def _filtered_rounds(
+    matrix: np.ndarray,
+    k: int,
+    h: int,
+    iterations: int,
+    ledger: Optional[RoundLedger],
 ) -> KNearestResult:
-    """Dense reference implementation of :func:`knearest_iterated`.
+    """``iterations`` Lemma 5.1 executions, each charged to ``ledger``.
 
-    Frozen as the differential-testing target for the row-sparse rounds
-    (same role as ``next_hop_table_reference`` for the next-hop table):
-    every round builds the dense filtered power ``Ā^h`` with
-    :func:`filtered_hop_power`, filters it with :func:`k_smallest_in_rows`
-    and re-densifies the rows, with a zero diagonal, as the next input.
-    No ledger, no load check.
+    Every round builds the dense filtered power ``Ā^h`` with
+    :func:`filtered_hop_power`, keeps its k smallest entries per row with
+    :func:`k_smallest_in_rows` and re-densifies those rows, with a zero
+    diagonal, as the next round's input.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    current = np.asarray(matrix, dtype=np.float64)
-    n = current.shape[0]
+    n = matrix.shape[0]
+    plan = make_bin_plan(n, k, h)
+    current = matrix
     for _ in range(iterations):
+        if ledger is not None:
+            _charge_one_iteration(ledger, n, k, h, plan)
         indices, values = k_smallest_in_rows(filtered_hop_power(current, h, k), k)
         current = RowSparse(indices=indices, values=values, n_cols=n).to_dense()
         np.fill_diagonal(current, 0.0)
@@ -316,9 +269,10 @@ def knearest_iterated_reference(
 class KNearestInexact(ValueError):
     """Lemma 5.2's output need not be the exact k nearest for these inputs.
 
-    Raised by :func:`knearest_exact` when ``h^i < k`` or an edge weight is
-    not positive: the ``h^i``-hop k nearest may then differ from the exact
-    ones, so growing exact balls would not reproduce Lemma 5.2's output.
+    Raised by :func:`knearest_exact` when ``h^i < k``, and by it and
+    :func:`knearest_exact_via_hopset` when an edge weight is not positive:
+    the ``h^i``-hop k nearest may then differ from the exact ones, so
+    growing exact balls would not reproduce Lemma 5.2's output.
     """
 
 
@@ -339,16 +293,68 @@ def knearest_exact(
     iterations: int,
     ledger: Optional[RoundLedger] = None,
 ) -> KNearestResult:
-    """Lemma 5.2's output where it is exact, grown from ``graph``'s CSR.
+    """Lemma 5.2's output on ``graph`` where it is exact (Theorem 1.1's
+    first stage), grown from the CSR by :func:`_grow_balls`.
 
     With positive weights, the k nearest nodes of ``u`` in ``(distance,
     ID)`` order are closed under shortest-path predecessors: a node on a
     shortest path to ``v`` lies strictly closer than ``v``, so it precedes
     ``v`` whatever the IDs.  A shortest path to a k-nearest node thus has
     fewer than ``k`` hops, and when ``h^i >= k`` the ``h^i``-hop rows of
-    :func:`knearest_iterated` are the exact k nearest.  The same closure
-    lets each row grow its own ball edge by edge: a per-source Dijkstra
-    stopped after k settled nodes, run for all sources at once in rounds.
+    :func:`knearest_iterated` are the exact k nearest.
+
+    Raises :class:`LoadPreconditionError` as :func:`knearest_iterated`
+    does, and :class:`KNearestInexact` when ``h^iterations < k`` or an
+    edge weight is not positive.
+    """
+    if k < 1 or h < 1 or iterations < 1:
+        raise ValueError("need k, h, iterations >= 1")
+    _check_load(graph.n, k, h)
+    if h**iterations < k:
+        raise KNearestInexact(
+            f"h^i = {h}^{iterations} < k = {k}: the h^i-hop k nearest need "
+            f"not be exact"
+        )
+    return _grow_balls(graph, k, h, iterations, ledger)
+
+
+def knearest_exact_via_hopset(
+    augmented: WeightedGraph,
+    k: int,
+    h: int,
+    beta: int,
+    ledger: Optional[RoundLedger] = None,
+) -> KNearestResult:
+    """Lemma 3.3: exact distances to ``N_k(u)`` given a k-nearest beta-hopset.
+
+    ``augmented`` is ``G ∪ H``.  The iteration count is the smallest ``i``
+    with ``h^i >= beta``; the hopset guarantees an exact-length path of at
+    most ``beta`` hops to every k-nearest node, so the ``h^i``-hop
+    distances are the true distances on those pairs, and Lemma 5.2's
+    output is the exact k nearest even when ``h^i < k``.
+    :func:`_grow_balls` computes it from ``G ∪ H``'s CSR.
+
+    Raises :class:`LoadPreconditionError` when ``k`` breaks Lemma 5.1's
+    load bound, and :class:`KNearestInexact` when a weight of ``G ∪ H``
+    is not positive.
+    """
+    i = params.knearest_iterations(beta, h)
+    _check_load(augmented.n, k, h)
+    return _grow_balls(augmented, k, h, i, ledger)
+
+
+def _grow_balls(
+    graph: WeightedGraph,
+    k: int,
+    h: int,
+    iterations: int,
+    ledger: Optional[RoundLedger],
+) -> KNearestResult:
+    """The exact k nearest of every node of ``graph``, by ball growth.
+
+    With positive weights, each row grows its own ball edge by edge: a
+    per-source Dijkstra stopped after k settled nodes, run for all
+    sources at once in rounds.
 
     Every row starts at ``[(0, u)]``.  An entry is *pending* from the
     round it enters or is lowered until it is expanded, into
@@ -372,19 +378,10 @@ def knearest_exact(
 
     The ledger is charged what :func:`knearest_iterated` charges,
     ``iterations`` Lemma 5.1 executions: the local computation differs,
-    the communication does not.  Raises :class:`LoadPreconditionError`
-    as it does, and :class:`KNearestInexact` when ``h^iterations < k`` or
-    an edge weight is not positive.
+    the communication does not.  Raises :class:`KNearestInexact` when an
+    edge weight is not positive.
     """
-    if k < 1 or h < 1 or iterations < 1:
-        raise ValueError("need k, h, iterations >= 1")
     n = graph.n
-    _check_load(n, k, h)
-    if h**iterations < k:
-        raise KNearestInexact(
-            f"h^i = {h}^{iterations} < k = {k}: the h^i-hop k nearest need "
-            f"not be exact"
-        )
     if graph.num_edges and graph.edge_w.min() <= 0:
         raise KNearestInexact(
             "edge weights must be positive: with zero weights the k nearest "
@@ -439,7 +436,7 @@ def _grow_rows(
     expand: np.ndarray,
     waiting: np.ndarray,
 ) -> None:
-    """One :func:`knearest_exact` round on ``rows``, in place.
+    """One :func:`_grow_balls` round on ``rows``, in place.
 
     ``expand`` and ``waiting`` mark, per row of ``rows``, the pending
     entries expanded now and those left for later; ``pending`` receives
@@ -483,21 +480,3 @@ def _grow_rows(
     pending[touched] = below
     indices[touched] = new_idx
     values[touched] = new_val
-
-
-def knearest_exact_via_hopset(
-    augmented_matrix: np.ndarray,
-    k: int,
-    h: int,
-    beta: int,
-    ledger: Optional[RoundLedger] = None,
-) -> KNearestResult:
-    """Lemma 3.3: exact distances to ``N_k(u)`` given a k-nearest beta-hopset.
-
-    ``augmented_matrix`` is the adjacency of ``G ∪ H``.  The iteration count
-    is the smallest ``i`` with ``h^i >= beta``; the hopset guarantees an
-    exact-length path of at most ``beta`` hops to every k-nearest node, so
-    the ``h^i``-hop distances are the true distances on those pairs.
-    """
-    i = params.knearest_iterations(beta, h)
-    return knearest_iterated(augmented_matrix, k, h, i, ledger=ledger)

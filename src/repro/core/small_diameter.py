@@ -139,7 +139,7 @@ def apsp_small_diameter(
         augmented = hopset.augmented(graph)
         k = max(1, math.isqrt(n))
         knn = knearest_exact_via_hopset(
-            augmented.matrix(), k, 2, hopset.beta_bound, ledger=ledger
+            augmented, k, 2, hopset.beta_bound, ledger=ledger
         )
         skeleton = build_skeleton(
             augmented, knn.indices, knn.values, k, rng, a=1.0, ledger=ledger

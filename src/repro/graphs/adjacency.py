@@ -117,12 +117,16 @@ def build_csr(
         wgt = np.concatenate([edge_w, edge_w])
         rank = np.concatenate([rank, rank])
     key = _packed_key((src, rank, dst), (n, len(distinct), n))
-    # Canonical input has unique (src, dst) pairs, hence unique keys: the
-    # order is fully determined and needs no stable sort.
-    order = np.argsort(key)
-    src, dst, wgt = src[order], dst[order], wgt[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    # Canonical input has unique (src, dst) pairs, hence unique keys: the
+    # order is fully determined and needs no stable sort.  Each temporary
+    # is dropped as soon as it is spent, which bounds the peak on dense
+    # inputs such as G ∪ H.
+    del src, rank
+    order = np.argsort(key)
+    del key
+    dst, wgt = dst[order], wgt[order]
     for arr in (indptr, dst, wgt):
         arr.setflags(write=False)
     return CSRAdjacency(indptr=indptr, indices=dst, weights=wgt)

@@ -11,7 +11,6 @@ from .minplus import (
     RowSparse,
     filter_rows,
     filtered_hop_power,
-    hop_merge_row_sparse,
     hop_power_row_sparse,
     k_smallest_in_rows,
     row_sparse_from_dense,
@@ -48,7 +47,6 @@ __all__ = [
     "embed",
     "filter_rows",
     "filtered_hop_power",
-    "hop_merge_row_sparse",
     "hop_power_row_sparse",
     "join_candidates",
     "k_smallest_in_rows",

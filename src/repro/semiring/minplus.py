@@ -7,10 +7,12 @@ This module provides:
 
 * row filtering with the paper's exact tie-breaking rule,
 * a row-sparse representation (``(n, k)`` index/value arrays) and the
-  filtered hop power over it — the local computation performed by the
-  node assigned an h-combination in the Section 5 algorithm.  The hot
-  path (:func:`hop_merge_row_sparse`) stays row-sparse and output
-  sensitive; :func:`hop_power_row_sparse` is the dense reference.
+  filtered hop power over it (:func:`hop_power_row_sparse`, dense
+  output) — the local computation performed by the node assigned an
+  h-combination in the Section 5 algorithm;
+* the row-local k-smallest merge of flat candidates
+  (:func:`_k_smallest_of_candidates`) that the k-nearest ball growth of
+  :mod:`repro.core.knearest` runs on.
 
 The dense products themselves (``minplus``, ``minplus_power``, ...) live
 in :mod:`repro.semiring.kernels` and are re-exported here for back-compat.
@@ -142,28 +144,6 @@ class RowSparse:
         np.minimum.at(out, (rows[keep], cols[keep]), vals[keep])
         return out
 
-    def with_zero_diagonal(self) -> "RowSparse":
-        """The k smallest entries per row once ``(u, u)`` is set to 0.
-
-        Row-sparse equivalent of ``to_dense()``, ``fill_diagonal(0)`` and
-        :func:`row_sparse_from_dense`: ``u`` enters its own row even when
-        it was filtered out, and is dropped again only if ``k`` lower IDs
-        also sit at distance 0.
-        """
-        n, k = self.indices.shape
-        if self.n_cols != n:
-            raise ValueError("a zero diagonal needs a square matrix")
-        node = np.arange(n)
-        keep = (self.indices >= 0) & (self.indices != node[:, None])
-        rows, slots = np.nonzero(keep)
-        indices, values, _ = _k_smallest_of_candidates(
-            np.concatenate([rows, node]),
-            np.concatenate([self.indices[rows, slots], node]),
-            np.concatenate([self.values[rows, slots], np.zeros(n)]),
-            n, n, k,
-        )
-        return RowSparse(indices=indices, values=values, n_cols=n)
-
 
 def _k_smallest_of_candidates(
     rows: np.ndarray,
@@ -222,79 +202,6 @@ def row_sparse_from_dense(matrix: np.ndarray, k: int) -> RowSparse:
     return RowSparse(indices=indices, values=values, n_cols=matrix.shape[1])
 
 
-def hop_merge_row_sparse(sparse: RowSparse, hops: int) -> RowSparse:
-    """The k smallest entries per row of ``Ā^h``, without densifying.
-
-    ``sparse`` is the filtered matrix ``Ā`` (k entries per row); the
-    result holds, for every row, the k smallest ``(value, ID)`` pairs of
-    the ``h``-hop power of ``Ā`` with a zero diagonal — exactly the rows
-    ``k_smallest_in_rows(hop_power_row_sparse(sparse, h), k)`` returns
-    whenever path sums are exact in float64, as they are for the paper's
-    integer weights (below 2**53).  It starts from ``T_1``, the k
-    smallest of ``Ā`` plus the zero diagonal, and each hop merges
-    ``k + k²`` candidates per row ``u``:
-
-    * ``u``'s own ``T_j[u]``,
-    * ``w(u, x) + T_j[x][·]`` for each of its k filtered neighbours ``x``.
-
-    Lemma 5.5's argument makes this exact: a node among the k nearest
-    within ``j + 1`` hops is reached through the k nearest of a neighbour
-    within ``j`` hops.  Because ``D_{j+1} <= D_j`` pointwise, candidates
-    above the row's current k-th value are pruned before selection, as are
-    those above ``w(u, x)`` plus neighbour ``x``'s k-th value (``x``
-    alone already offers k distinct IDs at or below that sum).  A row
-    whose own entries and whose neighbours' entries did not change in the
-    last hop cannot change in the next, so each hop after the first
-    recomputes only the rows next to a change.  Work is ``O(h·n·k²)``
-    against the reference's ``O(h·n²·k)``; rows are processed in blocks
-    under the :func:`minplus_gather` memory budget.
-    """
-    if hops < 1:
-        raise ValueError("hop bound must be >= 1")
-    n, k = sparse.indices.shape
-    if sparse.n_cols != n:
-        raise ValueError("hop power requires a square matrix")
-    memory_budget = memory_budget_from_env()
-    # Neighbour slots: the row itself at weight 0 (its own top-k), then
-    # its k filtered edges, padding as an inf-weight self loop.
-    node = np.arange(n)[:, None]
-    nbr = np.hstack([node, np.where(sparse.indices >= 0, sparse.indices, node)])
-    wgt = np.hstack(
-        [np.zeros((n, 1)), np.where(sparse.indices >= 0, sparse.values, INF)]
-    )
-    width = (k + 1) * k
-    # ~48 bytes of temporaries per candidate (sums, mask, flat ids, sort).
-    blk = max(1, min(n, memory_budget // (48 * width)))
-    current = sparse.with_zero_diagonal()
-    active = np.arange(n)
-    for _ in range(hops - 1):
-        idx, val = current.indices, current.values
-        # Prune above the tightest k-th value bound (slot 0 is the row's
-        # own); short rows keep every finite sum.
-        tau = np.min(wgt + val[nbr, k - 1], axis=1)[:, None, None]
-        tau[tau == INF] = np.finfo(np.float64).max
-        new_idx = idx.copy()
-        new_val = val.copy()
-        for start in range(0, active.size, blk):
-            rows = active[start : start + blk]
-            through = nbr[rows]
-            sums = wgt[rows, :, None] + val[through]
-            flat = np.flatnonzero(sums <= tau[rows])
-            via, slot = np.divmod(flat, k)
-            new_idx[rows], new_val[rows], _ = _k_smallest_of_candidates(
-                flat // width,
-                idx[through.ravel()[via], slot],
-                sums.ravel()[flat],
-                rows.size, n, k,
-            )
-        changed = (new_idx != idx).any(axis=1) | (new_val != val).any(axis=1)
-        if not changed.any():
-            break  # T_{j+1} depends on T_j alone: a fixed point
-        active = np.flatnonzero(changed[nbr].any(axis=1))
-        current = RowSparse(indices=new_idx, values=new_val, n_cols=n)
-    return current
-
-
 def hop_power_row_sparse(
     sparse: RowSparse,
     hops: int,
@@ -307,11 +214,9 @@ def hop_power_row_sparse(
     With a zero diagonal, the result after ``h`` rounds is the minimum
     length over paths with at most ``h`` edges of ``Ā``.
 
-    This is the dense reference for Lemma 5.5 tests: every hop costs
-    ``O(n * k * n)`` element-ops and the output is a full ``(n, n)``
-    matrix.  The k-nearest rounds use :func:`hop_merge_row_sparse`,
-    which produces the k smallest entries of each row of this matrix in
-    ``O(n * k²)`` per hop.
+    Every hop costs ``O(n * k * n)`` element-ops and the output is a
+    full ``(n, n)`` matrix; :func:`repro.core.knearest.knearest_iterated`
+    builds its rounds on it.
     """
     if hops < 1:
         raise ValueError("hop bound must be >= 1")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.cclique import LoadPreconditionError, RoundLedger
 from repro.core import (
     KNearestInexact,
+    KNearestResult,
     apsp_theorem11,
     build_knearest_hopset,
     knearest_exact,
@@ -21,7 +22,6 @@ from repro.core import (
     make_bin_plan,
     params,
 )
-from repro.core.knearest import knearest_iterated_reference
 from repro.graphs import (
     WeightedGraph,
     check_estimate,
@@ -33,13 +33,7 @@ from repro.graphs import (
     heavy_tail_weights,
 )
 from repro.graphs.generators import uniform_weights, unit_weights
-from repro.semiring import (
-    RowSparse,
-    hop_merge_row_sparse,
-    k_smallest_in_rows,
-    minplus_power,
-    row_sparse_from_dense,
-)
+from repro.semiring import filter_rows, k_smallest_in_rows, minplus_power
 
 from tests.helpers import brute_force_k_nearest, make_rng
 
@@ -210,15 +204,46 @@ def assert_identical(result, expected):
     assert np.array_equal(result.values, expected.values)
 
 
+def power_rows(matrix, k, hops):
+    """The definition of ``N^hops_k``: the k smallest entries per row of
+    the unfiltered power ``A^hops``."""
+    indices, values = k_smallest_in_rows(minplus_power(matrix, hops), k)
+    return KNearestResult(indices=indices, values=values, k=k, h=hops, iterations=1)
+
+
+def filtered_power_rows(matrix, k, h, iterations):
+    """Lemma 5.2's rounds from dense products: each round filters its
+    input to ``Ā``, sets a zero diagonal, and raises it to the ``h``-th
+    power with :func:`minplus_power`."""
+    current = np.asarray(matrix, dtype=np.float64)
+    for _ in range(iterations):
+        step = filter_rows(current, k)
+        np.fill_diagonal(step, 0.0)
+        power = minplus_power(step, h)
+        indices, values = k_smallest_in_rows(power, k)
+        current = filter_rows(power, k)
+        np.fill_diagonal(current, 0.0)
+    return KNearestResult(
+        indices=indices, values=values, k=k, h=h, iterations=iterations
+    )
+
+
 class TestRowSparseMatchesDenseReference:
-    """The row-sparse rounds against the frozen dense filtered power."""
+    """Lemma 5.2's rounds against the same rounds built from dense
+    ``minplus_power`` products, and, with positive weights, against the
+    unfiltered power ``A^(h^i)`` (Lemma 5.5: their k smallest row entries
+    agree, ``(value, ID)`` tie-break included; integer weights keep every
+    path sum exact)."""
 
     SCHEDULES = [(4, 2, 3), (7, 3, 2), (16, 2, 2), (3, 5, 1)]
 
     def _check(self, matrix, schedules=None):
+        positive = (matrix[~np.eye(len(matrix), dtype=bool)] > 0).all()
         for k, h, i in schedules or self.SCHEDULES:
             result = unloaded(knearest_iterated, matrix, k, h, i)
-            assert_identical(result, knearest_iterated_reference(matrix, k, h, i))
+            assert_identical(result, filtered_power_rows(matrix, k, h, i))
+            if positive:
+                assert_identical(result, power_rows(matrix, k, h**i))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_erdos_renyi_heavy_ties(self, seed):
@@ -270,47 +295,11 @@ class TestRowSparseMatchesDenseReference:
         k = params.theorem11_k0(n)
         h, i = params.choose_hop_schedule(n, k)
         result = knearest_iterated(graph.matrix(), k, h, i)
-        assert_identical(result, knearest_iterated_reference(graph.matrix(), k, h, i))
+        assert_identical(result, power_rows(graph.matrix(), k, h**i))
 
     def test_one_round_matches_reference(self, rng):
         matrix = erdos_renyi(60, 0.08, rng, weights=uniform_weights(1, 3)).matrix()
-        assert_identical(
-            knearest_one_round(matrix, 6, 3),
-            knearest_iterated_reference(matrix, 6, 3, 1),
-        )
-
-    def test_row_blocks_do_not_change_the_result(self, rng, monkeypatch):
-        """A tiny memory budget forces one-row blocks."""
-        matrix = erdos_renyi(80, 0.06, rng, weights=uniform_weights(1, 3)).matrix()
-        sparse = row_sparse_from_dense(matrix, 6)
-        whole = hop_merge_row_sparse(sparse, 3)
-        monkeypatch.setenv("REPRO_MINPLUS_BUDGET", "1")
-        blocked = hop_merge_row_sparse(sparse, 3)
-        assert np.array_equal(blocked.indices, whole.indices)
-        assert np.array_equal(blocked.values, whole.values)
-
-    def test_no_dense_matrix_inside_the_loop(self, rng, monkeypatch):
-        """The rounds never densify and never call the dense gather."""
-        minplus_module = importlib.import_module("repro.semiring.minplus")
-        matrix = erdos_renyi(60, 0.08, rng).matrix()
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("dense path used")
-
-        monkeypatch.setattr(RowSparse, "to_dense", forbidden)
-        monkeypatch.setattr(minplus_module, "minplus_gather", forbidden)
-        monkeypatch.setattr(minplus_module, "hop_power_row_sparse", forbidden)
-        knearest_iterated(matrix, 6, 2, 3)
-
-    def test_with_zero_diagonal_matches_dense_round_trip(self, rng):
-        matrix = clustered_zero_weight_graph(4, 10, rng).matrix()
-        sparse = row_sparse_from_dense(matrix, 5)
-        dense = sparse.to_dense()
-        np.fill_diagonal(dense, 0.0)
-        expected = row_sparse_from_dense(dense, 5)
-        got = sparse.with_zero_diagonal()
-        assert np.array_equal(got.indices, expected.indices)
-        assert np.array_equal(got.values, expected.values)
+        assert_identical(knearest_one_round(matrix, 6, 3), power_rows(matrix, 6, 3))
 
 
 def ball_corpus():
@@ -340,7 +329,8 @@ def knearest_exact_unloaded(graph, k, h, i):
 
 
 class TestKNearestExact:
-    """The CSR ball growth against both Lemma 5.2 implementations."""
+    """The CSR ball growth against Lemma 5.2's filtered rounds and the
+    unfiltered power ``A^(h^i)``."""
 
     #: (k, h, i) with ``h^i >= k``.
     SCHEDULES = [(1, 2, 1), (4, 2, 2), (7, 3, 2), (16, 2, 4), (12, 4, 2), (5, 5, 1)]
@@ -350,8 +340,8 @@ class TestKNearestExact:
         matrix = graph.matrix()
         for k, h, i in self.SCHEDULES:
             got = knearest_exact_unloaded(graph, k, h, i)
-            assert_identical(got, knearest_iterated_reference(matrix, k, h, i))
             assert_identical(got, unloaded(knearest_iterated, matrix, k, h, i))
+            assert_identical(got, power_rows(matrix, k, h**i))
             assert (got.k, got.h, got.iterations) == (k, h, i)
 
     @settings(max_examples=60, deadline=None)
@@ -372,7 +362,7 @@ class TestKNearestExact:
         )
         h, i = 2, max(1, (k - 1).bit_length())
         got = knearest_exact_unloaded(graph, k, h, i)
-        assert_identical(got, knearest_iterated_reference(graph.matrix(), k, h, i))
+        assert_identical(got, unloaded(knearest_iterated, graph.matrix(), k, h, i))
 
     def test_rows_with_fewer_than_k_reachable_are_padded(self):
         graph = dict(BALL_CORPUS)["disconnected"]
@@ -388,7 +378,7 @@ class TestKNearestExact:
         graph = erdos_renyi(24, 0.15, rng, weights=uniform_weights(1, 4))
         for k, h, i in [(24, 5, 2), (40, 7, 2)]:
             got = knearest_exact_unloaded(graph, k, h, i)
-            assert_identical(got, knearest_iterated_reference(graph.matrix(), k, h, i))
+            assert_identical(got, unloaded(knearest_iterated, graph.matrix(), k, h, i))
             assert (got.indices[:, :24] >= 0).all() and (got.indices[:, 24:] == -1).all()
 
     def test_theorem11_schedule(self):
@@ -487,7 +477,7 @@ class TestKNearestExact:
         monkeypatch.setattr(module, "_k_smallest_of_candidates", spy)
         got = knearest_exact_unloaded(graph, k, 3, 2)
         assert merges
-        assert_identical(got, knearest_iterated_reference(graph.matrix(), k, 3, 2))
+        assert_identical(got, unloaded(knearest_iterated, graph.matrix(), k, 3, 2))
 
     def test_theorem11_never_densifies_its_input(self, monkeypatch):
         """The solve path reads ``graph`` through its CSR only."""
@@ -555,7 +545,7 @@ class TestKSmallestInRows:
 class TestLemma33:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_exact_k_nearest_via_hopset(self, seed):
-        """Hopset + iterated filtering gives *exact* N_k distances."""
+        """Hopset + ball growth on ``G ∪ H`` gives *exact* N_k distances."""
         rng = make_rng(seed)
         n = 36
         graph = erdos_renyi(n, 0.12, rng)
@@ -566,19 +556,56 @@ class TestLemma33:
         hopset = build_knearest_hopset(graph, delta, a)
         augmented = hopset.augmented(graph)
         k = 6
-        result = knearest_exact_via_hopset(
-            augmented.matrix(), k, 2, hopset.beta_bound
-        )
+        result = knearest_exact_via_hopset(augmented, k, 2, hopset.beta_bound)
         for u in range(n):
             ids, dists = brute_force_k_nearest(exact, u, k)
             assert np.allclose(np.sort(result.values[u]), np.sort(dists))
             assert set(result.indices[u].tolist()) == set(ids.tolist())
 
-    def test_dense_and_mask_helpers(self, rng):
-        graph = erdos_renyi(25, 0.2, rng)
-        result = knearest_one_round(graph.matrix(), 5, 2)
-        dense = result.dense(25)
-        mask = result.known_mask(25)
-        assert dense.shape == (25, 25)
-        assert mask.sum() == np.isfinite(result.values).sum()
-        assert np.all(np.isfinite(dense[mask]))
+    @staticmethod
+    def _union(graph, a, k=None):
+        """``G ∪ H`` for a k-nearest hopset built from ``a * exact``."""
+        delta = exact_apsp(graph) * a
+        np.fill_diagonal(delta, 0.0)
+        hopset = build_knearest_hopset(graph, delta, a, k=k)
+        return hopset.augmented(graph), hopset.beta_bound
+
+    @pytest.mark.parametrize(
+        "name, k, h",
+        [("er", 6, 2), ("heavy-tail", 8, 2), ("directed", 5, 3), ("beta-below-k", 40, 2)],
+    )
+    def test_matches_knearest_iterated(self, name, k, h):
+        """Ball growth on ``G ∪ H`` is bit-identical to Lemma 5.2's
+        filtered rounds on its matrix, and charges the same rounds."""
+        rng = make_rng(11)
+        graph = {
+            "er": lambda: erdos_renyi(120, 0.04, rng),
+            "heavy-tail": lambda: erdos_renyi(
+                150, 0.03, rng, weights=heavy_tail_weights()
+            ),
+            "directed": lambda: directed_ring_with_chords(
+                100, 60, rng, weights=uniform_weights(1, 9)
+            ),
+            "beta-below-k": lambda: grid_graph(10, rng, weights=uniform_weights(1, 4)),
+        }[name]()
+        augmented, beta = self._union(graph, 2.0, k=k)
+        i = params.knearest_iterations(beta, h)
+        if name == "beta-below-k":
+            assert h**i < k
+        ledgers = [RoundLedger(graph.n), RoundLedger(graph.n)]
+        got = unloaded(knearest_exact_via_hopset, augmented, k, h, beta, ledgers[0])
+        expected = unloaded(
+            knearest_iterated, augmented.matrix(), k, h, i, ledgers[1]
+        )
+        assert np.array_equal(got.indices, expected.indices)
+        assert np.array_equal(got.values, expected.values)
+        assert (got.k, got.h, got.iterations) == (k, h, i)
+        assert ledgers[0].total_rounds == ledgers[1].total_rounds > 0
+
+    def test_zero_weight_union_rejected(self, rng):
+        """No fallback: a zero weight in ``G ∪ H`` refuses, as step 1 does."""
+        graph = clustered_zero_weight_graph(4, 6, rng)
+        augmented, beta = self._union(graph, 1.0)
+        assert augmented.edge_w.min() == 0
+        with pytest.raises(KNearestInexact, match="positive"):
+            unloaded(knearest_exact_via_hopset, augmented, 4, 2, beta)

@@ -129,9 +129,7 @@ class TestDirectedRing:
         assert hopset.hopset.directed
         augmented = hopset.augmented(graph)
         assert np.allclose(exact_apsp(augmented), exact)
-        knn = knearest_exact_via_hopset(
-            augmented.matrix(), 4, 2, hopset.beta_bound
-        )
+        knn = knearest_exact_via_hopset(augmented, 4, 2, hopset.beta_bound)
         for u in range(graph.n):
             ids, dists = brute_force_k_nearest(exact, u, 4)
             assert np.allclose(np.sort(knn.values[u]), np.sort(dists))

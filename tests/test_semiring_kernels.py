@@ -34,7 +34,6 @@ from repro.graphs import (
 )
 from repro.semiring import (
     MemoryBudgetError,
-    hop_merge_row_sparse,
     hop_power_row_sparse,
     k_smallest_in_rows,
     minplus,
@@ -156,12 +155,6 @@ def _budget_site_gather():
                    np.ones((4, 4)))
 
 
-def _budget_site_hop_merge():
-    matrix = np.ones((4, 4))
-    np.fill_diagonal(matrix, 0.0)
-    hop_merge_row_sparse(row_sparse_from_dense(matrix, 2), 2)
-
-
 def _budget_site_knearest_exact():
     graph = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)])
     knearest_exact(graph, 2, 2, 1)
@@ -173,7 +166,6 @@ class TestMemoryBudgetEnv:
     SITES = {
         "minplus": _budget_site_minplus,
         "minplus_gather": _budget_site_gather,
-        "hop_merge_row_sparse": _budget_site_hop_merge,
         "knearest_exact": _budget_site_knearest_exact,
     }
 
