@@ -47,7 +47,7 @@ from repro.cclique import (
 )
 from repro.chaos import run_scenario
 
-from conftest import artifact_path
+from conftest import artifact_path, host_fingerprint
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SIZES = (32,) if SMOKE else (128, 256)
@@ -327,6 +327,7 @@ def test_chaos_curves(chaos_records, byzantine_records, results_sink, benchmark)
         "seed": SEED,
         "retries": RETRIES,
         "smoke": SMOKE,
+        "host": host_fingerprint(),
         "drop_curves": chaos_records["drop_curves"],
         "crash_points": chaos_records["crash_points"],
         "e23_recovery_points": byzantine_records["recovery_points"],

@@ -41,7 +41,7 @@ from repro.cclique import (
     route_two_phase_reference,
 )
 
-from conftest import artifact_path, rng_for
+from conftest import artifact_path, host_fingerprint, rng_for
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SIZES = (32, 64) if SMOKE else (64, 128, 256, 512)
@@ -144,6 +144,7 @@ def test_routing_planes_identical_and_fast(routing_records, results_sink, benchm
         "experiment": "E19-routing",
         "sizes": list(SIZES),
         "smoke": SMOKE,
+        "host": host_fingerprint(),
         "records": routing_records,
     }
     with open(artifact_path("BENCH_routing.json"), "w", encoding="utf-8") as sink:

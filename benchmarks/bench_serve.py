@@ -11,11 +11,14 @@ synthetic closed-loop load (see :func:`repro.serve.run_closed_loop`):
 
 * **Throughput/latency** — p50/p99 latency and queries/sec for both
   paths at >= 3 offered-load levels (concurrent closed-loop clients).
-  The batcher flushes as soon as it is idle, so a lone request waits
-  for at most one engine call and no timer; the acceptance bar is the
-  micro-batched ``route`` path at >= 5x the single-query throughput at
-  the highest (saturating) load, written to ``BENCH_serve.json`` with
-  the host and commit it was measured on.
+  The single-query arm is the thread-pool baseline: one engine call per
+  request, each a ``run_in_executor`` round trip.  The batched arm runs
+  on the event loop: the batcher flushes at the end of the tick, or at
+  once when ``max_batch`` requests are waiting, and calls the engine on
+  the loop thread, with no timer and no pool hop.  The acceptance bar
+  is the micro-batched ``route`` path at >= 5x the single-query
+  throughput at the highest (saturating) load, written to
+  ``BENCH_serve.json`` with the host and commit it was measured on.
 
 Smoke mode: ``REPRO_BENCH_SMOKE=1`` shrinks the instance and the load
 levels — CI asserts equivalence and the metrics-snapshot JSON

@@ -3,7 +3,8 @@
 
 Runs every benchmark plane in ``REPRO_BENCH_SMOKE=1`` mode, then
 validates the ``BENCH_*.json`` artifact each one emits — existence, the
-expected experiment tag, and the plane's own gate (non-empty records,
+expected experiment tag, a ``host`` record naming where it was measured,
+and the plane's own gate (non-empty records,
 bit-identity flags, error-free serving, chaos curves present).  Smoke artifacts go to the
 gitignored ``.bench_smoke/`` (``conftest.artifact_path``), so a smoke run
 leaves the committed full-run artifacts untouched.  Any pytest failure,
@@ -33,6 +34,13 @@ ROOT = os.path.dirname(BENCH_DIR)
 def _records_nonempty(data: Dict[str, Any]) -> List[str]:
     if not data.get("records"):
         return ["records list is empty"]
+    return []
+
+
+def _check_host(data: Dict[str, Any]) -> List[str]:
+    """Every artifact names the host and commit it was measured on."""
+    if not isinstance(data.get("host"), dict):
+        return ["no host record (conftest.host_fingerprint)"]
     return []
 
 
@@ -172,7 +180,7 @@ def validate_artifact(
         problems.append(
             f"{artifact}: experiment tag {data.get('experiment')!r} != {tag!r}"
         )
-    problems.extend(f"{artifact}: {p}" for p in gate(data))
+    problems.extend(f"{artifact}: {p}" for p in _check_host(data) + gate(data))
     return problems
 
 

@@ -4,7 +4,7 @@
 Pattern: build/solve ONCE per (graph, variant, seed) — ``warm`` hands
 back a graph-hash-addressed handle — then answer many concurrent point
 queries through :class:`~repro.serve.OracleService`. Requests that
-arrive together, or while a flush runs, are coalesced by the
+arrive in the same event-loop tick are coalesced by the
 :class:`~repro.serve.MicroBatcher` into single vectorized engine calls
 (``query_many`` / ``route_batch``), bit-identical to asking one at a
 time, just much faster under load.

@@ -407,8 +407,8 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
                 )
         print(f"graph   : {graph}")
         print(f"service : warm {warm_seconds * 1e3:.0f} ms, "
-              f"max_batch={config.max_batch}, "
-              f"{config.max_workers} workers")
+              f"max_batch={config.max_batch} (batched flushes on the loop), "
+              f"{config.max_workers} pool workers (single path)")
         offered = "clients" if args.mode == "closed" else "req/s"
         print()
         print(format_table(
@@ -655,7 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=64, help="micro-batch size bound"
     )
     serve_parser.add_argument(
-        "--workers", type=int, default=4, help="thread-pool workers"
+        "--workers", type=int, default=4,
+        help="thread-pool workers for the single-query path"
     )
     serve_parser.add_argument(
         "--k", type=int, default=5, help="k for the k_nearest endpoint"

@@ -19,9 +19,10 @@ side the paper's routing motivation actually exercises:
 * :class:`OracleService` — the async serving tier on top: per-tenant
   stores, graph-hash-addressed warm-up, a :class:`MicroBatcher` per
   ``(tenant, oracle, endpoint)`` coalescing awaited point queries into
-  the vectorized calls above (a batch flushes when full or as soon as
-  the batcher is idle, with no timer), and a :class:`ServiceMetrics`
-  plane with streaming latency quantiles (see :mod:`repro.serve.service`).
+  the vectorized calls above (a batch flushes on the event loop when
+  full or at the end of the loop tick, with no timer), and a
+  :class:`ServiceMetrics` plane with streaming latency quantiles (see
+  :mod:`repro.serve.service`).
 
 Typical use::
 

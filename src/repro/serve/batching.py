@@ -6,18 +6,22 @@ packet — but a serving front-end receives point queries one ``await``
 at a time.  :class:`MicroBatcher` closes that gap without a timer.
 A batch flushes when either trigger fires:
 
-* **size** — the pending list reaches ``max_batch`` (flush now), or
-* **idle** — a submit that finds none of this batcher's flushes running
-  schedules one flush at the end of the loop tick (``loop.call_soon``),
-  which every request submitted in that tick rides; requests that park
-  while flushes run are scheduled the same way when the last running
-  flush finishes.  A lone request waits for at most one engine call.
+* **size** — the pending list reaches ``max_batch`` (flush now, inside
+  the submit that filled it), or
+* **idle** — the first submit of a loop tick schedules one flush at the
+  end of that tick (``loop.call_soon``), which every request submitted
+  in the tick rides.  A lone request is flushed at the end of the tick
+  it was submitted in.
 
-The flush function receives the pending payloads as one list, runs on
-the executor (numpy work must not block the event loop), and must
-return one result per payload, in order; results resolve the per-request
-futures.  An exception fails every request in that batch — item ``i``'s
-result never silently becomes item ``j``'s.
+The flush function receives the pending payloads as one list and must
+return one result per payload, in order; results resolve the
+per-request futures.  It runs on the event-loop thread: the engine
+calls it wraps are small-array numpy steps that hold the GIL, so a
+worker thread could not run them alongside the loop anyway, and a
+thread-pool round trip costs more than most of them.  One engine call
+runs at a time, and ``max_batch`` bounds how long it holds the loop.
+An exception fails every request in that batch — item ``i``'s result
+never silently becomes item ``j``'s.
 
 Single event loop: a batcher instance serves one running loop at a time
 (futures and scheduled flushes belong to the submitting loop).
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 FlushFn = Callable[[List[Any]], Sequence[Any]]
 
@@ -83,27 +87,23 @@ class MicroBatcher:
     """Coalesce awaited point requests into vectorized flush calls.
 
     ``flush`` maps a list of payloads to an equal-length sequence of
-    results.  ``executor=None`` uses the loop's default thread pool.
+    results; it runs on the event-loop thread.
     """
 
     def __init__(
         self,
         flush: FlushFn,
         max_batch: int = 32,
-        executor: Optional[Any] = None,
         on_flush: Optional[Callable[[int], None]] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._flush = flush
         self.max_batch = int(max_batch)
-        self._executor = executor
         self._on_flush = on_flush
         self._pending: List[_Pending] = []
         #: An idle flush is queued with ``call_soon`` and has not run yet.
         self._scheduled = False
-        #: Flushes launched and not yet finished.
-        self._inflight: Set["asyncio.Task[None]"] = set()
         self.stats = BatcherStats()
 
     @property
@@ -118,25 +118,29 @@ class MicroBatcher:
         self._pending.append(_Pending(payload, future))
         self.stats.submitted += 1
         if len(self._pending) >= self.max_batch:
-            self._launch(loop, "size")
-        elif not self._inflight:
-            self._schedule(loop)
+            self._run("size")
+        elif not self._scheduled:
+            self._scheduled = True
+            loop.call_soon(self._flush_idle)
         return await future
 
-    def _schedule(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Flush what is pending once the current loop tick ends."""
-        if not self._scheduled:
-            self._scheduled = True
-            loop.call_soon(self._flush_idle, loop)
-
-    def _flush_idle(self, loop: asyncio.AbstractEventLoop) -> None:
+    def _flush_idle(self) -> None:
         self._scheduled = False
         if self._pending:
-            self._launch(loop, "idle")
+            self._run("idle")
 
-    def _launch(self, loop: asyncio.AbstractEventLoop, reason: str) -> None:
-        """Detach the pending list and start one flush task over it."""
-        batch, self._pending = self._pending, []
+    def _run(self, reason: str) -> None:
+        """Flush the pending list now and resolve its futures in order.
+
+        Requests whose future is already done (cancelled while parked)
+        are left out of the engine call and counted in
+        ``stats.cancelled``.
+        """
+        batch = [item for item in self._pending if not item.future.done()]
+        self.stats.cancelled += len(self._pending) - len(batch)
+        self._pending = []
+        if not batch:
+            return
         self.stats.flushes += 1
         if reason == "size":
             self.stats.size_flushes += 1
@@ -146,30 +150,9 @@ class MicroBatcher:
             self.stats.drain_flushes += 1
         if len(batch) > self.stats.max_batch_seen:
             self.stats.max_batch_seen = len(batch)
-        task = loop.create_task(self._run(batch))
-        self._inflight.add(task)
-        task.add_done_callback(self._finished)
-
-    def _finished(self, task: "asyncio.Task[None]") -> None:
-        """Retire one flush; the last one out schedules the parked rest.
-
-        Done callbacks run one at a time, so of two flushes ending in one
-        tick exactly one sees the set empty (a check inside ``_run``
-        would see both still in it).  The waiters this flush resolved
-        woke before this callback, so what they submit next joins the
-        parked requests.
-        """
-        self._inflight.discard(task)
-        if not self._inflight and self._pending:
-            self._schedule(task.get_loop())
-
-    async def _run(self, batch: List[_Pending]) -> None:
-        loop = asyncio.get_running_loop()
         payloads = [item.payload for item in batch]
         try:
-            results = await loop.run_in_executor(
-                self._executor, self._flush, payloads
-            )
+            results = self._flush(payloads)
             if len(results) != len(payloads):
                 raise RuntimeError(
                     f"flush returned {len(results)} results for "
@@ -178,34 +161,18 @@ class MicroBatcher:
         except Exception as exc:  # noqa: BLE001 - forwarded to every waiter
             self.stats.errors += 1
             for item in batch:
-                if not item.future.done():
-                    item.future.set_exception(exc)
+                item.future.set_exception(exc)
             return
-        # Bookkeeping before resolving: once results land, the awaiting
-        # coroutines may finish the event loop with this task mid-body.
         self.stats.completed += len(batch)
         if self._on_flush is not None:
             self._on_flush(len(batch))
         for item, result in zip(batch, results):
-            if not item.future.done():
-                item.future.set_result(result)
+            item.future.set_result(result)
 
     async def drain(self) -> None:
-        """Flush anything pending and wait for every in-flight batch.
-
-        Loops until both the pending list and the in-flight set are
-        empty, so a request that parks *while* the final batch is being
-        awaited is flushed too — drain never returns with a caller
-        silently left hanging on an unarmed batch.
-        """
-        loop = asyncio.get_running_loop()
-        while self._pending or self._inflight:
-            if self._pending:
-                self._launch(loop, "drain")
-            if self._inflight:
-                await asyncio.gather(
-                    *tuple(self._inflight), return_exceptions=True
-                )
+        """Flush anything pending; every submitted request is then resolved."""
+        if self._pending:
+            self._run("drain")
 
     def fail_pending(self, exc: Optional[BaseException] = None) -> int:
         """Fail every still-parked request instead of leaving it hung.

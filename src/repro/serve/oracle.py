@@ -367,6 +367,9 @@ class DistanceOracle:
             "estimate": estimate,
             "next_hop": next_hop,
             "hop_weight": hop_weight,
+            # Recomputed and compared at load: catches a flipped byte that
+            # still decodes to a well-formed oracle.
+            "content_key": self.content_key(),
         }
 
     @classmethod
@@ -378,9 +381,10 @@ class DistanceOracle:
         one, a byte length that does not fill the shape, a shape other
         than the payload's ``(n, n)``), when the forwarding table could
         route off the node range or along a hop of unknown or negative
-        weight, or when the estimate holds a negative or NaN entry or a
-        nonzero diagonal.  The checks run here, once per load, and never
-        on the query path.
+        weight, when the estimate holds a negative or NaN entry or a
+        nonzero diagonal, or when the decoded content does not match the
+        payload's ``content_key`` (payloads without one still load).  The
+        checks run here, once per load, and never on the query path.
         """
         if data.get("format") != ORACLE_FORMAT:
             raise ValueError(
@@ -412,6 +416,12 @@ class DistanceOracle:
         oracle = cls(meta=dict(data.get("meta") or {}), **arrays)
         _check_forwarding(oracle.next_hop, oracle.hop_weight)
         _check_estimate(oracle.estimate)
+        key = data.get("content_key")
+        if key is not None and oracle.content_key() != key:
+            raise ArtifactIntegrityError(
+                f"content_key mismatch: the payload declares {key!r}; its "
+                "estimate or next_hop was altered after it was written"
+            )
         return oracle
 
     def to_json(self, matrix_encoding: str = "b64", **dumps_kwargs: Any) -> str:

@@ -8,13 +8,17 @@ the concurrency story on top:
 * **request front-end** — ``await service.distance/route/k_nearest``;
   each endpoint rides a per-``(tenant, oracle, endpoint)``
   :class:`~repro.serve.batching.MicroBatcher`, so point queries that
-  arrive in one loop tick, or while a flush runs, coalesce into a single
-  ``query_many`` / ``route_batch`` / ``k_smallest_in_rows`` call.
+  arrive in one loop tick coalesce into a single ``query_many`` /
+  ``route_batch`` / ``k_smallest_in_rows`` call.
   Results are bit-identical to the single-query path (the per-item
   semantics of every engine call are independent of batch membership) —
   ``benchmarks/bench_serve.py`` (E21) asserts exactly that;
-* **execution backend** — an asyncio event loop in front of a
-  thread-pool executor; numpy work never blocks the loop;
+* **execution backend** — batched flushes run on the event-loop
+  thread, one engine call at a time, each bounded by ``max_batch``
+  (the engine calls hold the GIL, so a pool thread could not overlap
+  them with the loop, and a pool round trip costs more than most of
+  them); ``batched=False`` requests go one by one to a thread-pool
+  executor;
 * **per-tenant stores** — each tenant gets its own bounded
   :class:`~repro.serve.store.OracleStore` (admission capped at
   ``max_tenants``; eviction/build accounting via ``store.stats()``);
@@ -83,9 +87,11 @@ def oracle_handle(
 class ServiceConfig:
     """Knobs of one :class:`OracleService` (all bounds are per tenant).
 
-    ``max_batch`` caps one micro-batch (smaller batches flush as soon
-    as the batcher is idle);
-    ``max_workers`` sizes the thread-pool backend; ``max_tenants``
+    ``max_batch`` caps one micro-batch (smaller batches flush at the
+    end of the loop tick) and so bounds how long one engine call holds
+    the event loop;
+    ``max_workers`` sizes the thread pool that serves only
+    ``batched=False`` requests; ``max_tenants``
     caps admission; ``store_max_entries`` / ``store_max_bytes`` bound
     each tenant's oracle store.
 
@@ -367,7 +373,7 @@ class OracleService:
         payload: Tuple,
         batched: bool,
     ) -> Any:
-        """One attempt: through the coalescer or straight to the pool."""
+        """One attempt: through the coalescer (on the loop) or to the pool."""
         if batched:
             return await self._batcher(endpoint, tenant, handle).submit(
                 payload
@@ -392,14 +398,13 @@ class OracleService:
             batcher = MicroBatcher(
                 partial(self._execute, endpoint, tenant, handle),
                 max_batch=self.config.max_batch,
-                executor=self._executor,
                 on_flush=partial(self.metrics.record_batch, endpoint),
             )
             self._batchers[key] = batcher
         return batcher
 
     # ------------------------------------------------------------------ #
-    # Vectorized execution (worker threads)
+    # Vectorized execution (loop thread when batched, pool when not)
     # ------------------------------------------------------------------ #
 
     def _execute(
@@ -444,7 +449,7 @@ class OracleService:
     # ------------------------------------------------------------------ #
 
     async def drain(self) -> None:
-        """Flush every batcher and wait for in-flight work."""
+        """Flush what every batcher still holds."""
         for batcher in list(self._batchers.values()):
             await batcher.drain()
 

@@ -128,3 +128,10 @@ def test_claims_gate_rejects_a_tradeoff_factor_rising_with_t(claims, check_claim
     last["factor"] = min(r["factor"] for r in rows) * 2
     last["max_stretch"] = 1.0
     assert any("factor rises with t" in p for p in check_claims(claims))
+
+
+def test_artifact_without_a_host_record_fails_the_smoke_gate(claims):
+    check_host = load_run_smoke()._check_host
+    assert check_host(claims) == []
+    del claims["host"]
+    assert check_host(claims) == ["no host record (conftest.host_fingerprint)"]

@@ -163,6 +163,36 @@ class TestPersistence:
         assert np.array_equal(clone.hop_weight, oracle.hop_weight)
         assert clone.meta == oracle.meta
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("encoding", ["b64", "list"])
+    def test_round_trip_keeps_content_key(self, encoding, dtype):
+        graph, estimate, _ = build_case(7)
+        oracle = DistanceOracle.build(graph, estimate.astype(dtype))
+        payload = json.loads(oracle.to_json(matrix_encoding=encoding))
+        assert payload["content_key"] == oracle.content_key()
+        clone = DistanceOracle.from_dict(payload)
+        assert clone.content_key() == oracle.content_key()
+        assert clone.to_dict(matrix_encoding=encoding)["content_key"] == (
+            payload["content_key"]
+        )
+
+    def test_flipped_estimate_byte_fails_content_key(self):
+        """A flip that still decodes to a valid distance is caught by the
+        key alone."""
+        graph, estimate, _ = build_case(7)
+        oracle = DistanceOracle.build(graph, estimate)
+        assert 0 < oracle.estimate[0, 5] < np.inf
+        payload = oracle.to_dict(matrix_encoding="b64")
+        raw = bytearray(base64.b64decode(payload["estimate"]["data"]))
+        raw[5 * 8] ^= 1  # lowest mantissa byte of estimate[0, 5]
+        payload["estimate"]["data"] = base64.b64encode(bytes(raw)).decode("ascii")
+        with pytest.raises(ArtifactIntegrityError, match="content_key"):
+            DistanceOracle.from_dict(payload)
+        del payload["content_key"]  # keyless payloads load unchecked
+        assert DistanceOracle.from_dict(payload).estimate[0, 5] != (
+            oracle.estimate[0, 5]
+        )
+
     def test_unknown_payload_rejected(self):
         with pytest.raises(ValueError):
             DistanceOracle.from_dict({"format": "something-else"})

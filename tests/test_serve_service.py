@@ -7,7 +7,7 @@ import asyncio
 import json
 import threading
 import time
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -157,42 +157,6 @@ class TestStoreConcurrency:
 # ---------------------------------------------------------------------- #
 
 
-def held_flush(log=None):
-    """A flush that blocks on a ``threading.Event`` until the test sets it.
-
-    Returns ``(flush, gate)``.  Set ``gate`` in a ``finally``: a flush
-    still blocked when the loop closes hangs the executor shutdown.
-    """
-    gate = threading.Event()
-
-    def flush(items):
-        if log is not None:
-            log.append(list(items))
-        gate.wait(5)
-        return items
-
-    return flush, gate
-
-
-async def until_flushing(batcher):
-    """Yield to the loop until ``batcher`` has launched a flush."""
-    while not batcher.stats.flushes:
-        await asyncio.sleep(0)
-
-
-class InlineExecutor(Executor):
-    """Runs each flush at once on the loop thread.
-
-    Flushes launched in one tick then also finish in one tick, which is
-    the order that exposes a lost wake-up.
-    """
-
-    def submit(self, fn, *args, **kwargs):
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
-
-
 class TestMicroBatcher:
     def test_flush_on_size(self):
         """max_batch concurrent submits flush at once, as one size flush."""
@@ -247,55 +211,72 @@ class TestMicroBatcher:
         assert flushed == [[0, 1, 2, 3, 4]]
         assert batcher.stats.idle_flushes == 1
 
-    def test_parked_requests_launch_when_held_flush_completes(self):
-        flushed = []
-        flush, gate = held_flush(flushed)
-        batcher = MicroBatcher(flush, max_batch=100)
+    def test_flush_runs_on_the_loop_thread(self):
+        threads = []
+
+        def flush(items):
+            threads.append(threading.get_ident())
+            return items
+
+        batcher = MicroBatcher(flush, max_batch=2)
 
         async def main():
-            try:
-                first = asyncio.ensure_future(batcher.submit("a"))
-                await until_flushing(batcher)
-                parked = [asyncio.ensure_future(batcher.submit(x))
-                          for x in ("b", "c")]
-                await asyncio.sleep(0)
-                assert batcher.pending == 2  # parked behind the held flush
-                assert batcher.stats.flushes == 1
-            finally:
-                gate.set()
-            assert await first == "a"
-            assert await asyncio.gather(*parked) == ["b", "c"]
+            # Three requests: one size flush and one idle flush.
+            return await asyncio.gather(*(batcher.submit(i) for i in range(3)))
 
-        asyncio.run(asyncio.wait_for(main(), timeout=5))
-        assert flushed == [["a"], ["b", "c"]]
-        assert batcher.stats.idle_flushes == 2
+        assert asyncio.run(asyncio.wait_for(main(), timeout=5)) == [0, 1, 2]
+        assert threads == [threading.get_ident()] * 2
 
-    def test_parked_rest_flushed_when_two_flushes_end_in_one_tick(self):
-        """Lost wake-up: neither of two flushes ending in one tick may
-        assume the other is still running."""
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 30])
+    def test_submits_in_one_tick_make_ceil_n_over_max_batch_flushes(
+        self, count
+    ):
+        max_batch = 8
         flushed = []
 
         def flush(items):
             flushed.append(list(items))
             return items
 
-        batcher = MicroBatcher(flush, max_batch=2, executor=InlineExecutor())
+        batcher = MicroBatcher(flush, max_batch=max_batch)
 
         async def main():
-            sized = [asyncio.ensure_future(batcher.submit(i))
-                     for i in range(4)]
-            await asyncio.sleep(0)  # two size flushes launched
-            assert batcher.stats.size_flushes == 2
-            rest = asyncio.ensure_future(batcher.submit(4))
-            await asyncio.sleep(0)  # parked: both flushes still running
-            assert batcher.pending == 1
-            return await asyncio.gather(*sized, rest)
+            return await asyncio.gather(
+                *(batcher.submit(i) for i in range(count))
+            )
 
-        assert asyncio.run(asyncio.wait_for(main(), timeout=5)) == [
-            0, 1, 2, 3, 4
-        ]
-        assert flushed == [[0, 1], [2, 3], [4]]
-        assert batcher.stats.idle_flushes == 1
+        assert asyncio.run(asyncio.wait_for(main(), timeout=5)) == list(
+            range(count)
+        )
+        assert len(flushed) == -(-count // max_batch)
+        assert max(len(batch) for batch in flushed) <= max_batch
+        assert [i for batch in flushed for i in batch] == list(range(count))
+        assert batcher.stats.size_flushes == count // max_batch
+        assert batcher.stats.idle_flushes == (1 if count % max_batch else 0)
+
+    def test_cancelled_parked_request_is_skipped_by_its_flush(self):
+        flushed = []
+
+        def flush(items):
+            flushed.append(list(items))
+            return items
+
+        batcher = MicroBatcher(flush, max_batch=100)
+
+        async def main():
+            tasks = [asyncio.ensure_future(batcher.submit(x))
+                     for x in ("a", "b", "c")]
+            await asyncio.sleep(0)  # all three parked, idle flush queued
+            assert batcher.pending == 3
+            tasks[1].cancel()
+            return await asyncio.gather(*tasks, return_exceptions=True)
+
+        a, b, c = asyncio.run(asyncio.wait_for(main(), timeout=5))
+        assert (a, c) == ("a", "c")
+        assert isinstance(b, asyncio.CancelledError)
+        assert flushed == [["a", "c"]]
+        assert batcher.stats.cancelled == 1
+        assert batcher.stats.completed == 2
 
     def test_oversubmission_splits_into_size_batches(self):
         def flush(items):
@@ -438,6 +419,13 @@ def small_service(**overrides):
     )
     config.update(overrides)
     return OracleService(ServiceConfig(**config))
+
+
+class RefusingPool(Executor):
+    """A thread-pool stand-in that raises on every submit."""
+
+    def submit(self, fn, *args, **kwargs):
+        raise AssertionError("the thread pool was used")
 
 
 class TestOracleService:
@@ -585,6 +573,40 @@ class TestOracleService:
                 "ids": [int(v) for v in ids[0]],
                 "dists": [float(d) for d in dists[0]],
             }
+
+    def test_batched_path_never_touches_the_pool(self):
+        graph, estimate = build_case(17, n=36)
+        service = small_service(max_batch=4)
+        service._executor.shutdown()
+        service._executor = RefusingPool()
+        with service:
+            handle = service.warm(graph, variant="", seed=0, result=estimate)
+            oracle = service.oracle(handle)
+            rng = make_rng(6)
+            sources = rng.integers(0, graph.n, size=10)
+            targets = rng.integers(0, graph.n, size=10)
+            ks = [2 + i % 3 for i in range(10)]
+
+            async def main():
+                return await asyncio.gather(
+                    asyncio.gather(*(service.distance(handle, int(s), int(t))
+                                     for s, t in zip(sources, targets))),
+                    asyncio.gather(*(service.route(handle, int(s), int(t))
+                                     for s, t in zip(sources, targets))),
+                    asyncio.gather(*(service.k_nearest(handle, int(s), k)
+                                     for s, k in zip(sources, ks))),
+                )
+
+            distances, routes, nearest = asyncio.run(main())
+            assert distances == oracle.query_many(sources, targets).tolist()
+            assert routes == route_batch(oracle, sources, targets).to_records()
+            for s, k, answer in zip(sources, ks, nearest):
+                ids, dists = oracle.k_nearest(k, sources=[int(s)])
+                assert answer == {"ids": ids[0].tolist(),
+                                  "dists": dists[0].tolist()}
+            # The single-query arm does go through the pool.
+            with pytest.raises(AssertionError, match="thread pool"):
+                asyncio.run(service.distance(handle, 0, 1, batched=False))
 
     def test_requests_batch_within_window(self):
         graph, estimate = build_case(13)
@@ -803,102 +825,75 @@ class TestTimeoutRetry:
 
 class TestShutdownFanout:
     def test_fail_pending_cancels_parked_futures(self):
-        flush, gate = held_flush()
-        batcher = MicroBatcher(flush, max_batch=100)
+        flushed = []
+        batcher = MicroBatcher(lambda items: flushed.append(items) or items,
+                               max_batch=100)
 
         async def main():
-            try:
-                first = asyncio.ensure_future(batcher.submit("first"))
-                await until_flushing(batcher)
-                task = asyncio.ensure_future(batcher.submit("x"))
-                await asyncio.sleep(0)  # parked behind the held flush
-                assert batcher.fail_pending() == 1
-            finally:
-                gate.set()
+            task = asyncio.ensure_future(batcher.submit("x"))
+            await asyncio.sleep(0)  # submitted, idle flush not yet run
+            assert batcher.pending == 1
+            assert batcher.fail_pending() == 1
             with pytest.raises(asyncio.CancelledError):
                 await task
-            assert await first == "first"
 
         asyncio.run(asyncio.wait_for(main(), timeout=5))
         assert batcher.stats.cancelled == 1
         assert batcher.pending == 0
+        assert flushed == []  # the queued idle flush found nothing
 
     def test_fail_pending_with_explicit_exception(self):
-        flush, gate = held_flush()
-        batcher = MicroBatcher(flush, max_batch=100)
+        batcher = MicroBatcher(lambda items: items, max_batch=100)
 
         async def main():
-            try:
-                first = asyncio.ensure_future(batcher.submit("first"))
-                await until_flushing(batcher)
-                task = asyncio.ensure_future(batcher.submit("x"))
-                await asyncio.sleep(0)
-                batcher.fail_pending(RuntimeError("shutting down"))
-            finally:
-                gate.set()
+            task = asyncio.ensure_future(batcher.submit("x"))
+            await asyncio.sleep(0)
+            batcher.fail_pending(RuntimeError("shutting down"))
             with pytest.raises(RuntimeError, match="shutting down"):
                 await task
-            assert await first == "first"
 
         asyncio.run(asyncio.wait_for(main(), timeout=5))
+        assert batcher.stats.flushes == 0
 
     def test_close_fails_requests_parked_at_close_time(self):
         graph, estimate = build_case(12)
         service = small_service(max_batch=64)
         handle = service.warm(graph, variant="", seed=0, result=estimate)
-        gate, started = threading.Event(), threading.Event()
-        execute = service._execute
-
-        def held_execute(*args):
-            started.set()
-            gate.wait(5)
-            return execute(*args)
-
-        service._execute = held_execute  # batchers bind it on first use
 
         async def main():
-            try:
-                first = asyncio.ensure_future(service.distance(handle, 0, 1))
-                while not started.is_set():
-                    await asyncio.sleep(0.001)
-                task = asyncio.ensure_future(service.distance(handle, 2, 3))
-                await asyncio.sleep(0)  # parked behind the held flush
-            finally:
-                # Release before close(): it joins the executor threads.
-                gate.set()
+            answered = await service.distance(handle, 0, 1)
+            task = asyncio.ensure_future(service.distance(handle, 2, 3))
+            await asyncio.sleep(0)  # submitted, idle flush not yet run
             service.close()
             with pytest.raises(asyncio.CancelledError):
                 await task
-            assert await first == float(estimate[0, 1])
+            return answered
 
-        asyncio.run(asyncio.wait_for(main(), timeout=5))
+        assert asyncio.run(asyncio.wait_for(main(), timeout=5)) == float(
+            estimate[0, 1]
+        )
         counters = service.metrics.snapshot()["counters"]
         assert counters["cancelled_at_close"] == 1
 
     def test_drain_flushes_request_parked_during_final_flush(self):
-        # Regression: a submit that parks while drain() awaits the last
-        # in-flight batch must still be flushed before drain returns.
-        flush, gate = held_flush()
-        batcher = MicroBatcher(flush, max_batch=100)
+        # A request submitted but not yet flushed is answered by drain()
+        # itself; the idle flush queued for it then finds nothing.
+        flushed = []
+        batcher = MicroBatcher(lambda items: flushed.append(items) or items,
+                               max_batch=100)
 
         async def main():
-            try:
-                first = asyncio.ensure_future(batcher.submit("a"))
-                await until_flushing(batcher)
-                drainer = asyncio.ensure_future(batcher.drain())
-                await asyncio.sleep(0)  # drain awaits the held flush
-                second = asyncio.ensure_future(batcher.submit("b"))
-                await asyncio.sleep(0)
-                assert batcher.pending == 1  # parked during the flush
-            finally:
-                gate.set()
-            await drainer
-            assert batcher.stats.completed == 2
+            task = asyncio.ensure_future(batcher.submit("a"))
+            await asyncio.sleep(0)
+            assert batcher.pending == 1
+            await batcher.drain()
             assert batcher.pending == 0
-            assert await first == "a"
-            assert await second == "b"
+            return await task
 
-        asyncio.run(asyncio.wait_for(main(), timeout=5))
+        assert asyncio.run(asyncio.wait_for(main(), timeout=5)) == "a"
+        assert flushed == [["a"]]
+        assert batcher.stats.drain_flushes == 1
+        assert batcher.stats.idle_flushes == 0
 
 
 class TestMetricsFiniteGuard:
