@@ -118,7 +118,7 @@ class MicroBatcher:
         self._pending.append(_Pending(payload, future))
         self.stats.submitted += 1
         if len(self._pending) >= self.max_batch:
-            self._run("size")
+            self._flush_pending("size")
         elif not self._scheduled:
             self._scheduled = True
             loop.call_soon(self._flush_idle)
@@ -127,9 +127,9 @@ class MicroBatcher:
     def _flush_idle(self) -> None:
         self._scheduled = False
         if self._pending:
-            self._run("idle")
+            self._flush_pending("idle")
 
-    def _run(self, reason: str) -> None:
+    def _flush_pending(self, reason: str) -> None:
         """Flush the pending list now and resolve its futures in order.
 
         Requests whose future is already done (cancelled while parked)
@@ -172,7 +172,7 @@ class MicroBatcher:
     async def drain(self) -> None:
         """Flush anything pending; every submitted request is then resolved."""
         if self._pending:
-            self._run("drain")
+            self._flush_pending("drain")
 
     def fail_pending(self, exc: Optional[BaseException] = None) -> int:
         """Fail every still-parked request instead of leaving it hung.
