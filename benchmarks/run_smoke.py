@@ -45,13 +45,19 @@ def _check_host(data: Dict[str, Any]) -> List[str]:
 
 
 def _check_pipeline(data: Dict[str, Any]) -> List[str]:
+    """E18: every construction record states it is bit-identical to its
+    reference, except the spanner, which is randomized and instead stays
+    within its edge bound."""
     problems = _records_nonempty(data)
     construction = data.get("construction", [])
     if not construction:
         problems.append("construction list is empty")
     for record in construction:
-        if record.get("identical_to_reference") is False:
-            problems.append(f"construction not bit-identical: {record}")
+        if "edge_bound_2x" in record:
+            if not record.get("edges", float("inf")) <= record["edge_bound_2x"]:
+                problems.append(f"spanner above its edge bound: {record}")
+        elif record.get("identical_to_reference") is not True:
+            problems.append(f"construction not shown bit-identical: {record}")
     return problems
 
 

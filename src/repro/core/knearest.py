@@ -31,6 +31,7 @@ Executable content:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
@@ -277,13 +278,21 @@ class KNearestInexact(ValueError):
 
 
 #: Bytes of temporaries one :func:`_grow_rows` call holds at its peak,
-#: per candidate offer and per re-selected old entry: the merge keeps
-#: about 15 eight-byte arrays of that length alive at once, plus its
-#: ``(rows, width)`` layout.  Measured with ``tracemalloc`` on Theorem
-#: 1.1 inputs at n = 2048, 4096 and 8192, the ratio stays at 66-173 on
-#: the large blocks, and under the 32 MiB default budget the peak stays
-#: at or below 34 MiB.
-_BYTES_PER_OFFER = 160
+#: per candidate offer and per re-selected old entry: the block's flat
+#: candidate arrays and the merge's packed keys, about a dozen eight-byte
+#: arrays of that length at once.  Measured with ``tracemalloc`` on
+#: Theorem 1.1 inputs at n = 2048, 4096 and 8192, the ratio stays at
+#: 42-133 on blocks of 10k entries or more (median 94-99).
+_BYTES_PER_OFFER = 136
+
+#: Entries one merge block takes at most, whatever the budget.  Larger
+#: blocks cost more than they save: their megabyte-sized temporaries
+#: make glibc's allocator hand memory back to the kernel and fault it
+#: in again.  On a 2-vCPU x86-64 host, an n = 2048 ball growth under
+#: the 32 MiB budget alone (blocks of about 200k entries) took 28k page
+#: faults and about twice the time; capped at 2^17 entries it still
+#: took 8k, at 2^16 none.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def knearest_exact(
@@ -371,10 +380,13 @@ def _grow_balls(
     ``(value, ID)`` entry: a row only improves, so nothing at or after
     that entry can enter, and a pending entry pushed out of its row needs
     no expansion.  The rows with survivors keep their k smallest
-    ``(value, ID)`` pairs of old entries and candidates.  The loop stops
-    when nothing is pending.  Candidates are generated in row blocks
-    under the :func:`memory_budget_from_env` budget; no ``(n, n)`` array
-    is built.
+    ``(value, ID)`` pairs of old entries and candidates, merged by
+    :func:`_k_smallest_of_candidates` on one packed int64 key.  The loop
+    stops when nothing is pending.  Candidates are generated and merged
+    in row blocks (:func:`_row_blocks`): under the
+    :func:`memory_budget_from_env` budget, under :data:`_BLOCK_ENTRIES`
+    entries, and narrow enough for the merge key; no ``(n, n)`` array is
+    built.
 
     The ledger is charged what :func:`knearest_iterated` charges,
     ``iterations`` Lemma 5.1 executions: the local computation differs,
@@ -408,22 +420,48 @@ def _grow_balls(
         expand = waiting & (np.cumsum(waiting, axis=1) <= per_round)
         waiting &= ~expand
         offers = np.where(expand, degree[indices[active]], 0).sum(axis=1)
-        ends = np.cumsum(_BYTES_PER_OFFER * (offers + k))
         pending = np.zeros_like(pending)
-        start = 0
-        while start < active.size:
-            base = ends[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(ends, base + budget, "right")))
-            block = slice(start, stop)
+        for block in _row_blocks(offers, k, n, budget):
             _grow_rows(
                 csr, degree, indices, values, pending,
                 active[block], expand[block], waiting[block],
             )
-            start = stop
         active = np.flatnonzero(pending.any(axis=1))
     return KNearestResult(
         indices=indices, values=values, k=k, h=h, iterations=iterations
     )
+
+
+def _row_blocks(
+    offers: np.ndarray, k: int, n: int, budget: int
+) -> Iterator[slice]:
+    """Split one :func:`_grow_balls` round's rows into merge blocks.
+
+    ``offers[j]`` is row ``j``'s candidate count this round; with its
+    ``k`` old entries, a row brings ``offers[j] + k`` entries to the
+    merge.  A block takes rows in order while its entries stay within
+    ``budget`` bytes at :data:`_BYTES_PER_OFFER` each and within
+    :data:`_BLOCK_ENTRIES`, and while the merge key fits:
+    ``bits(rows) + bits(n) + bits(entries) + 1 <= 63``.  A block holds
+    at least one row.
+    """
+    entries = np.cumsum(offers + k)
+    cap = min(budget // _BYTES_PER_OFFER, _BLOCK_ENTRIES)
+    room = 62 - int(n).bit_length()
+    start = 0
+    while start < entries.size:
+        base = int(entries[start - 1]) if start else 0
+
+        def width(stop: int) -> int:
+            rows, taken = stop - start, int(entries[stop - 1]) - base
+            return rows.bit_length() + taken.bit_length()
+
+        stop = max(start + 1, int(np.searchsorted(entries, base + cap, "right")))
+        if width(stop) > room:
+            fits = bisect_right(range(start + 1, stop + 1), room, key=width)
+            stop = start + max(1, fits)
+        yield slice(start, stop)
+        start = stop
 
 
 def _grow_rows(
@@ -442,39 +480,48 @@ def _grow_rows(
     entries expanded now and those left for later; ``pending`` receives
     the rows' entries that are pending after the round.  A node is
     expanded into the first ``degree[y]`` entries of its CSR row.
+
+    Only the rows a candidate survives into (*touched*) are merged, each
+    with all its old entries.  An expanded or settled old entry holds
+    its own value, so the merge flags it pending again only where a
+    candidate lowers it; a waiting entry and a new candidate hold
+    nothing and stay pending wherever they land.
     """
     n, k = indices.shape
-    owner, slot = np.nonzero(expand)
+    owner, slot = np.divmod(np.flatnonzero(expand), k)
     source = rows[owner]
     via = indices[source, slot]
     deg = degree[via]
-    pos = np.arange(int(deg.sum())) + np.repeat(
-        csr.indptr[via] - (np.cumsum(deg) - deg), deg
-    )
-    owner = np.repeat(owner, deg)
+    step = np.repeat(np.arange(via.size), deg)  # the expanded entry of each offer
+    pos = np.arange(step.size) + (csr.indptr[via] - (np.cumsum(deg) - deg))[step]
+    owner = owner[step]
     col = csr.indices[pos]
-    cand = np.repeat(values[source, slot], deg) + csr.weights[pos]
+    cand = values[source, slot][step] + csr.weights[pos]
     kth_val = values[rows, k - 1][owner]
     kth_id = indices[rows, k - 1][owner]
     keep = (cand < kth_val) | ((cand == kth_val) & (col < kth_id))
     owner, col, cand = owner[keep], col[keep], cand[keep]
-    hit = np.bincount(owner, minlength=rows.size) > 0
+    hit = np.zeros(rows.size, dtype=bool)
+    hit[owner] = True
     pending[rows[~hit]] = waiting[~hit]
     if not hit.any():
         return
     touched = rows[hit]
     old_idx, old_val = indices[touched], values[touched]
-    at, entry = np.nonzero(old_idx >= 0)
-    old = old_val[at, entry]
-    # An old entry's own value counts as held once it is expanded; a
-    # waiting entry holds nothing, so it stays pending wherever it lands.
-    held = np.where(waiting[hit][at, entry], INF, old)
+    old_wait = waiting[hit]
+    if old_idx[:, -1].min() >= 0:  # every touched row is full
+        at = np.repeat(np.arange(touched.size), k)
+        old_idx, old_val, old_wait = old_idx.ravel(), old_val.ravel(), old_wait.ravel()
+    else:
+        at, entry = np.divmod(np.flatnonzero(old_idx >= 0), k)
+        old_idx, old_val = old_idx[at, entry], old_val[at, entry]
+        old_wait = old_wait[at, entry]
     new_idx, new_val, below = _k_smallest_of_candidates(
         np.concatenate([at, (np.cumsum(hit) - 1)[owner]]),
-        np.concatenate([old_idx[at, entry], col]),
-        np.concatenate([old, cand]),
+        np.concatenate([old_idx, col]),
+        np.concatenate([old_val, cand]),
         touched.size, n, k,
-        held=np.concatenate([held, np.full(cand.size, INF)]),
+        np.concatenate([np.where(old_wait, INF, old_val), np.full(cand.size, INF)]),
     )
     assert below is not None
     pending[touched] = below

@@ -12,7 +12,8 @@ This module provides:
   h-combination in the Section 5 algorithm;
 * the row-local k-smallest merge of flat candidates
   (:func:`_k_smallest_of_candidates`) that the k-nearest ball growth of
-  :mod:`repro.core.knearest` runs on.
+  :mod:`repro.core.knearest` runs on: two in-place sorts of one packed
+  int64 key per block.
 
 The dense products themselves (``minplus``, ``minplus_power``, ...) live
 in :mod:`repro.semiring.kernels` and are re-exported here for back-compat.
@@ -158,42 +159,96 @@ def _k_smallest_of_candidates(
 
     A column offered several times keeps its minimum value; then each
     row keeps its ``k`` smallest ``(value, col)`` pairs, padded with
-    ``(-1, inf)`` as in :func:`k_smallest_in_rows`.  Candidates must be
-    finite.  One integer sort groups the candidates by ``(row, col)``;
-    the selection itself runs row-locally on an ``(n_rows, widest row)``
-    layout whose column order is ID order.
+    ``(-1, inf)`` as in :func:`k_smallest_in_rows`.  ``rows`` and
+    ``cols`` are int64; candidates must be finite and non-negative.
 
-    ``held``, when given, holds one value per candidate; the third result
-    then flags the kept entries whose value lies below the minimum
-    ``held`` of their ``(row, col)`` (it is ``None`` otherwise).
+    The merge sorts one packed int64 key twice, in place.  The values
+    are ranked by distinct value; ``(row, col, rank, bit)`` sorts each
+    ``(row, col)`` run with its minimum first, and the runs' first keys,
+    re-packed as ``(row, rank, col, bit)`` and sorted again, line each
+    row up in ``(value, ID)`` order.  The fields take ``bits(n_rows -
+    1) + bits(n_cols - 1) + bits(len(values) - 1) + 1`` bits, which
+    must not exceed 63 (``ValueError`` otherwise).
+
+    ``held``, when given, holds one value per candidate: the candidate's
+    own value where the entry *holds* it, ``inf`` where it holds
+    nothing.  The third result then flags the kept entries whose value
+    lies below every value held in their ``(row, col)``, and is ``None``
+    otherwise.  The key's ``bit`` is 1 on an entry that holds nothing,
+    so a holding entry sorts ahead of an equal-valued one and a run's
+    first key carries the flag.
     """
-    key = rows * n_cols + cols
-    order = np.argsort(key)
-    key = key[order]
-    first = np.empty(key.size, dtype=bool)
+    size = values.size
+    row_bits = max(int(n_rows) - 1, 0).bit_length()
+    col_bits = max(int(n_cols) - 1, 0).bit_length()
+    rank_bits = max(size - 1, 0).bit_length()
+    if row_bits + col_bits + rank_bits + 1 > 63:
+        raise ValueError(
+            f"{n_rows} rows x {n_cols} columns x {size} candidates do not "
+            f"fit a 63-bit merge key"
+        )
+    if not size:
+        return (
+            np.full((n_rows, k), -1, dtype=np.int64),
+            np.full((n_rows, k), INF),
+            None if held is None else np.zeros((n_rows, k), dtype=bool),
+        )
+    order = np.argsort(values)
+    ordered = values[order]
+    fresh = np.empty(size, dtype=bool)  # a new distinct value starts here
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    distinct = ordered[starts]
+    key = rows << col_bits
+    key |= cols
+    key <<= 1
+    if held is not None:
+        key |= held != values
+    key = key[order]  # (row, col, bit) in value order: insert the rank
+    low = np.repeat(np.arange(0, 2 * starts.size, 2), np.diff(starts, append=size))
+    low |= key & 1
+    key &= -2
+    key <<= rank_bits
+    key |= low
+    key.sort()
+    below_col = rank_bits + 1  # the (rank, bit) fields under (row, col)
+    pair = key >> below_col
+    first = np.empty(size, dtype=bool)
     first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    best = np.minimum.reduceat(values[order], starts) if starts.size else values[:0]
-    key = key[starts]
-    rows = key // n_cols
-    counts = np.bincount(rows, minlength=n_rows)
-    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    width = max(1, int(counts.max(initial=0)))
-    by_slot = np.full((n_rows, width), INF)
-    col_of_slot = np.full((n_rows, width), -1, dtype=np.int64)
-    by_slot[rows, slot] = best
-    col_of_slot[rows, slot] = key - rows * n_cols
-    slots, kept = k_smallest_in_rows(by_slot, k)
-    at = np.maximum(slots, 0)
-    picked = np.take_along_axis(col_of_slot, at, axis=1)
+    np.not_equal(pair[1:], pair[:-1], out=first[1:])
+    # Re-pack each run's first key: the row stays on top, (col, rank)
+    # swap under it.
+    col = pair[first]
+    col &= (1 << col_bits) - 1
+    col <<= 1
+    key = key[first]
+    low = key & ((1 << below_col) - 1)
+    col |= low & 1
+    low >>= 1
+    low <<= col_bits + 1
+    low |= col
+    key >>= below_col + col_bits
+    key <<= below_col + col_bits
+    key |= low
+    key.sort()
+    # Each row's first k keys, gathered straight into (n_rows, k).
+    bounds = np.searchsorted(key, np.arange(n_rows + 1) << (below_col + col_bits))
+    slot = np.arange(k)
+    padding = slot >= np.diff(bounds)[:, None]
+    kept = key.take(bounds[:-1, None] + slot, mode="clip")
+    rank = kept >> (col_bits + 1)
+    rank &= (1 << rank_bits) - 1
+    kept_val = distinct[rank]
+    kept_val[padding] = INF
     below = None
     if held is not None:
-        below_slot = np.zeros((n_rows, width), dtype=bool)
-        if starts.size:
-            below_slot[rows, slot] = best < np.minimum.reduceat(held[order], starts)
-        below = np.take_along_axis(below_slot, at, axis=1) & (slots >= 0)
-    return np.where(slots >= 0, picked, -1), kept, below
+        below = (kept & 1).astype(bool)
+        below[padding] = False
+    kept >>= 1
+    kept &= (1 << col_bits) - 1
+    kept[padding] = -1
+    return kept, kept_val, below
 
 
 def row_sparse_from_dense(matrix: np.ndarray, k: int) -> RowSparse:

@@ -95,11 +95,15 @@ class ServiceConfig:
     caps admission; ``store_max_entries`` / ``store_max_bytes`` bound
     each tenant's oracle store.
 
-    ``request_timeout_s`` bounds each backend attempt (None = wait
-    forever, the pre-robustness behaviour); a timed-out attempt is
-    retried up to ``max_retries`` times with jittered exponential
-    backoff starting at ``retry_backoff_ms``.  Timeouts and retries are
-    surfaced as the ``timeouts`` / ``retries`` service counters.
+    ``request_timeout_s`` bounds each ``batched=False`` attempt, the
+    pool path (None = wait forever, the pre-robustness behaviour); a
+    timed-out attempt is retried up to ``max_retries`` times with
+    jittered exponential backoff starting at ``retry_backoff_ms``.
+    Timeouts and retries are surfaced as the ``timeouts`` / ``retries``
+    service counters.  A batched attempt is never cut off: its flush
+    runs synchronously on the event loop, queued in the tick that
+    submitted it and so ahead of any timeout, and it answers however
+    long the engine call takes.
 
     ``retry_jitter_seed`` seeds the backoff-jitter RNG; ``None`` (the
     default) derives it from ``metrics_seed``, so replays stay
@@ -338,6 +342,11 @@ class OracleService:
         batched: bool,
     ) -> Any:
         """One endpoint call under the configured timeout/retry policy.
+
+        ``request_timeout_s`` can only fire on ``batched=False`` calls,
+        which wait on the thread pool.  A batched call's flush runs on
+        the event loop itself, queued ahead of the timeout, so the call
+        returns its answer however long the engine took.
 
         Only *timeouts* are retried — a ``KeyError`` (evicted oracle) or
         any backend exception is a real answer and re-raising it

@@ -135,3 +135,32 @@ def test_artifact_without_a_host_record_fails_the_smoke_gate(claims):
     assert check_host(claims) == []
     del claims["host"]
     assert check_host(claims) == ["no host record (conftest.host_fingerprint)"]
+
+
+@pytest.fixture
+def pipeline():
+    """A fresh copy of the committed E18 pipeline artifact."""
+    path = os.path.join(REPO_ROOT, "BENCH_pipeline.json")
+    with open(path, encoding="utf-8") as source:
+        return copy.deepcopy(json.load(source))
+
+
+def test_committed_pipeline_artifact_passes_its_gate(pipeline):
+    assert pipeline["smoke"] is False
+    assert load_run_smoke()._check_pipeline(pipeline) == []
+
+
+def test_construction_record_without_identity_key_fails_the_smoke_gate(pipeline):
+    check_pipeline = load_run_smoke()._check_pipeline
+    records = pipeline["construction"]
+    record = next(r for r in records if r["phase"].startswith("knearest ("))
+    del record["identical_to_reference"]
+    assert any("not shown bit-identical" in p for p in check_pipeline(pipeline))
+
+
+def test_spanner_record_is_gated_by_its_edge_bound(pipeline):
+    check_pipeline = load_run_smoke()._check_pipeline
+    record = next(r for r in pipeline["construction"] if "edge_bound_2x" in r)
+    assert "identical_to_reference" not in record
+    record["edges"] = int(record["edge_bound_2x"]) + 1
+    assert any("edge bound" in p for p in check_pipeline(pipeline))

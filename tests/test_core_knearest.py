@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,13 @@ from repro.graphs import (
 )
 from repro.graphs.generators import uniform_weights, unit_weights
 from repro.semiring import filter_rows, k_smallest_in_rows, minplus_power
+from repro.semiring.kernels import memory_budget_from_env
+
+knearest_module = importlib.import_module("repro.core.knearest")
+_row_blocks = knearest_module._row_blocks
+_k_smallest_of_candidates = importlib.import_module(
+    "repro.semiring.minplus"
+)._k_smallest_of_candidates
 
 from tests.helpers import brute_force_k_nearest, make_rng
 
@@ -540,6 +548,203 @@ class TestKSmallestInRows:
             expected = stable_argsort_reference(matrix, k)
             assert np.array_equal(got[0], expected[0])
             assert np.array_equal(got[1], expected[1])
+
+
+def layout_merge_reference(rows, cols, values, n_rows, n_cols, k, held=None):
+    """The historical ``_k_smallest_of_candidates``: an argsort groups the
+    candidates by ``(row, col)``, ``minimum.reduceat`` keeps each run's
+    minimum, and :func:`k_smallest_in_rows` selects on an
+    ``(n_rows, widest row)`` layout whose column order is ID order."""
+    key = rows * n_cols + cols
+    order = np.argsort(key)
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    best = np.minimum.reduceat(values[order], starts) if starts.size else values[:0]
+    key = key[starts]
+    rows = key // n_cols
+    counts = np.bincount(rows, minlength=n_rows)
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    width = max(1, int(counts.max(initial=0)))
+    by_slot = np.full((n_rows, width), np.inf)
+    col_of_slot = np.full((n_rows, width), -1, dtype=np.int64)
+    by_slot[rows, slot] = best
+    col_of_slot[rows, slot] = key - rows * n_cols
+    slots, kept = k_smallest_in_rows(by_slot, k)
+    at = np.maximum(slots, 0)
+    picked = np.take_along_axis(col_of_slot, at, axis=1)
+    below = None
+    if held is not None:
+        below_slot = np.zeros((n_rows, width), dtype=bool)
+        if starts.size:
+            below_slot[rows, slot] = best < np.minimum.reduceat(held[order], starts)
+        below = np.take_along_axis(below_slot, at, axis=1) & (slots >= 0)
+    return np.where(slots >= 0, picked, -1), kept, below
+
+
+def merge_case(rng, n_rows, n_cols, k):
+    """Flat merge input shaped like a ball-growth block.
+
+    Each non-empty row holds up to ``k`` old entries on distinct columns,
+    each either expanded (it holds its own value) or waiting (``inf``),
+    then candidates (``inf``) that repeat old columns and each other.
+    Values come from a short list, so equal values land on different IDs;
+    about a quarter of the rows get no entries at all.
+    """
+    levels = np.array([0.0, 0.5, 1.0, 1.0, 2.0, 2.5, 3.0, 7.25])
+    rows, cols, vals, held = [], [], [], []
+    for r in np.flatnonzero(rng.random(n_rows) < 0.75):
+        size = int(rng.integers(0, min(k, n_cols) + 1))
+        old = rng.choice(n_cols, size=size, replace=False)
+        old_val = rng.choice(levels, size=old.size)
+        expanded = rng.random(old.size) < 0.6
+        offers = int(rng.integers(0, 3 * k + 2))
+        cand = rng.integers(0, n_cols, offers)
+        reuse = rng.random(offers) < 0.3
+        if old.size:
+            cand[reuse] = rng.choice(old, size=int(reuse.sum()))
+        rows.append(np.full(old.size + offers, r))
+        cols.append(np.concatenate([old, cand]))
+        vals.append(np.concatenate([old_val, rng.choice(levels, size=offers)]))
+        held.append(np.concatenate([
+            np.where(expanded, old_val, np.inf), np.full(offers, np.inf)
+        ]))
+    if not rows:
+        return [np.zeros(0, dtype=np.int64)] * 2 + [np.zeros(0)] * 2
+    return (
+        np.concatenate(rows).astype(np.int64),
+        np.concatenate(cols).astype(np.int64),
+        np.concatenate(vals),
+        np.concatenate(held),
+    )
+
+
+class TestCandidateMerge:
+    """``_k_smallest_of_candidates`` (packed keys) against the layout merge."""
+
+    @staticmethod
+    def assert_same(rows, cols, values, n_rows, n_cols, k, held):
+        got = _k_smallest_of_candidates(rows, cols, values, n_rows, n_cols, k, held)
+        expected = layout_merge_reference(rows, cols, values, n_rows, n_cols, k, held)
+        for g, e in zip(got[:2], expected[:2]):
+            assert g.dtype == e.dtype and np.array_equal(g, e)
+        if held is None:
+            assert got[2] is None and expected[2] is None
+        else:
+            assert got[2].dtype == bool and np.array_equal(got[2], expected[2])
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("n_cols", [1, 2, 8, 9, 32, 33, 64, 65])
+    def test_matches_layout_merge(self, seed, n_cols):
+        rng = make_rng(1000 + seed)
+        n_rows = int(rng.integers(1, 9))
+        k = int(rng.integers(1, 12))
+        rows, cols, values, held = merge_case(rng, n_rows, n_cols, k)
+        self.assert_same(rows, cols, values, n_rows, n_cols, k, held)
+        self.assert_same(rows, cols, values, n_rows, n_cols, k, None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_single_row(self, seed):
+        rng = make_rng(2000 + seed)
+        rows, cols, values, held = merge_case(rng, 1, 17, 5)
+        self.assert_same(rows, cols, values, 1, 17, 5, held)
+
+    def test_duplicates_and_ties(self):
+        """One column offered at several values, one value on several IDs,
+        and an expanded entry tied by a candidate (it stays unflagged)."""
+        rows = np.array([0, 0, 0, 0, 0, 0, 2, 2, 2], dtype=np.int64)
+        cols = np.array([4, 4, 4, 1, 3, 2, 5, 5, 0], dtype=np.int64)
+        values = np.array([2.0, 1.0, 3.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+        held = np.array([2.0, np.inf, np.inf, 1.0, np.inf, np.inf, 0.5, np.inf, np.inf])
+        for k in (1, 3, 4, 6):
+            self.assert_same(rows, cols, values, 3, 6, k, held)
+        idx, val, below = _k_smallest_of_candidates(rows, cols, values, 3, 6, 4, held)
+        assert idx.tolist() == [[1, 2, 3, 4], [-1] * 4, [0, 5, -1, -1]]
+        assert below.tolist() == [
+            [False, True, True, True], [False] * 4, [True, False, False, False],
+        ]
+
+    def test_no_candidates(self):
+        empty = np.zeros(0, dtype=np.int64)
+        self.assert_same(empty, empty, np.zeros(0), 3, 4, 2, np.zeros(0))
+        self.assert_same(empty, empty, np.zeros(0), 3, 4, 2, None)
+
+    def test_key_wider_than_63_bits_is_refused(self):
+        two = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ValueError, match="63-bit merge key"):
+            _k_smallest_of_candidates(two, two, np.zeros(2), 2**31, 2**31, 1)
+
+
+def block_width(offers, k, n, block):
+    """``bits(rows) + bits(n) + bits(entries) + 1`` of one merge block."""
+    entries = int(offers[block].sum()) + k * (block.stop - block.start)
+    rows = block.stop - block.start
+    return rows.bit_length() + n.bit_length() + entries.bit_length() + 1
+
+
+class TestBallGrowthBlocks:
+    """The row blocks the ball growth merges in, and what a block costs."""
+
+    def test_blocks_tile_the_rows_under_every_cap(self):
+        rng = make_rng(4)
+        offers = rng.integers(0, 300, 5000)
+        k = 45
+        blocks = list(_row_blocks(offers, k, 2048, 4 << 20))
+        assert blocks[0].start == 0 and blocks[-1].stop == offers.size
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        cap = min((4 << 20) // knearest_module._BYTES_PER_OFFER,
+                  knearest_module._BLOCK_ENTRIES)
+        entries = [int(offers[b].sum()) + k * (b.stop - b.start) for b in blocks]
+        assert all(e <= cap for e in entries)
+        # Each block stops where the next row would break the cap.
+        grown = [e + int(offers[b.stop]) + k for e, b in zip(entries, blocks[:-1])]
+        assert all(g > cap for g in grown)
+
+    def test_one_row_per_block_when_the_budget_is_tiny(self):
+        offers = np.array([5, 0, 300, 7])
+        blocks = list(_row_blocks(offers, 3, 64, 1))
+        assert [(b.start, b.stop) for b in blocks] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    def test_key_width_cap_at_n_2_20_under_a_large_budget(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MINPLUS_BUDGET", str(1 << 50))
+        budget = memory_budget_from_env()
+        n, k = 1 << 20, 90
+        offers = np.full(n, (k - 1) * (k // 6))
+        blocks = list(_row_blocks(offers, k, n, budget))
+        assert blocks[-1].stop == n
+        assert all(block_width(offers, k, n, b) <= 63 for b in blocks)
+
+    def test_key_width_cap_binds_on_a_wide_id_space(self):
+        """At ``n = 2^40`` the 63-bit key, not the entry cap, ends blocks."""
+        n, k = 1 << 40, 1
+        offers = np.zeros(1 << 12, dtype=np.int64)
+        blocks = list(_row_blocks(offers, k, n, 1 << 50))
+        assert all(block_width(offers, k, n, b) <= 63 for b in blocks)
+        assert all(block_width(offers, k, n, slice(b.start, b.stop + 1)) > 63
+                   for b in blocks[:-1])
+        assert blocks[0].stop - blocks[0].start == 1023
+
+    @pytest.mark.parametrize("budget", [None, 4 << 20])
+    def test_traced_peak_stays_near_the_budget(self, monkeypatch, budget):
+        """A Theorem 1.1 ball growth (ER n = 2048, k = 45) peaks within
+        1.25x the budget plus its ``(n, k)`` state arrays."""
+        if budget is not None:
+            monkeypatch.setenv("REPRO_MINPLUS_BUDGET", str(budget))
+        limit = memory_budget_from_env()
+        n, k = 2048, 45
+        graph = erdos_renyi(n, 4 / n, make_rng(7))
+        graph.csr()
+        h, i = params.choose_hop_schedule(n, k)
+        tracemalloc.start()
+        try:
+            knearest_exact(graph, k, h, i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = n * k * (8 + 8 + 1)  # indices, values, pending
+        assert peak <= 1.25 * limit + state
 
 
 class TestLemma33:

@@ -792,6 +792,40 @@ class TestTimeoutRetry:
         endpoints = service.metrics.snapshot()["endpoints"]
         assert endpoints["distance/single"]["errors"] == 1
 
+    def test_timeout_bounds_only_the_pool_path(self):
+        """A batched flush runs synchronously on the event loop, queued
+        ahead of any timer, so ``request_timeout_s`` never cuts a batched
+        request off; ``batched=False`` requests time out and are retried."""
+        service, handle = self.warm_service(
+            request_timeout_s=0.01, max_retries=1, retry_backoff_ms=1.0
+        )
+        real_execute = service._execute
+
+        def slow(endpoint, tenant, oracle_handle, payloads):
+            time.sleep(0.02)
+            return real_execute(endpoint, tenant, oracle_handle, payloads)
+
+        service._execute = slow
+        pairs = [(s, (7 * s + 3) % 32) for s in range(12)]
+
+        async def batched():
+            return await asyncio.gather(
+                *(service.distance(handle, s, t) for s, t in pairs),
+                *(service.route(handle, s, t) for s, t in pairs),
+            )
+
+        with service:
+            answers = asyncio.run(batched())
+            counters = service.metrics.snapshot()["counters"]
+            assert counters["timeouts"] == 0 and counters["retries"] == 0
+            assert answers[:12] == real_execute("distance", "default", handle, pairs)
+            assert answers[12:] == real_execute("route", "default", handle, pairs)
+            with pytest.raises(asyncio.TimeoutError):
+                asyncio.run(service.distance(handle, 0, 1, batched=False))
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["timeouts"] == 2  # the attempt and its one retry
+        assert counters["retries"] == 1
+
     def test_evicted_oracle_is_not_retried(self):
         service, handle = self.warm_service(
             request_timeout_s=1.0, max_retries=5, retry_backoff_ms=1.0
